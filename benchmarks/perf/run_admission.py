@@ -8,11 +8,12 @@ Writes ``BENCH_PR6.json`` at the repo root. Three workloads are measured:
     priority levels: the trace first fills to 60 admitted streams, then
     alternates random releases and admissions around that occupancy
     (ISSUE 3's acceptance workload). The identical trace is replayed
-    through :class:`~repro.service.engine.IncrementalAdmissionEngine` in
-    incremental mode and in full mode (``REPRO_INCREMENTAL=0``
-    equivalent); every decision and every report must be bit-identical
-    between the two before any number is recorded, and the recorded
-    ``speedup`` is their wall-time ratio.
+    through :class:`~repro.service.engine.IncrementalAdmissionEngine` and
+    through the from-scratch reference (``tests/reference.py``: fresh
+    :class:`~repro.core.feasibility.FeasibilityAnalyzer` s over the whole
+    set on every op); every decision and every report must be
+    bit-identical between the two before any number is recorded, and the
+    recorded ``speedup`` is their wall-time ratio.
 ``metrics_overhead``
     Microbenchmark of :meth:`~repro.service.metrics.ServiceMetrics.
     record_op` — the per-request metrics cost — with a hard 5 µs/op
@@ -63,6 +64,7 @@ from repro.service.engine import IncrementalAdmissionEngine  # noqa: E402
 from repro.topology.mesh import Mesh2D  # noqa: E402
 from repro.topology.route_table import clear_shared_route_tables  # noqa: E402
 from repro.topology.routing import XYRouting  # noqa: E402
+from tests.reference import ReferenceAdmission  # noqa: E402
 
 CHURN_OPS = int(os.environ.get("REPRO_BENCH_ADMIT_OPS", "150"))
 TARGET_LIVE = int(os.environ.get("REPRO_BENCH_ADMIT_STREAMS", "60"))
@@ -121,18 +123,21 @@ def build_trace(seed: int = 0):
 
 
 def replay(trace, incremental: bool):
-    """Run one engine over the trace; return (seconds, outcomes, stats).
+    """Run one engine over the trace; return (seconds, outcomes, engine).
 
+    ``incremental=False`` replays the from-scratch reference instead.
     Outcomes capture every decision and every post-op report spec, so the
-    two modes can be compared bit for bit.
+    two can be compared bit for bit.
     """
-    mesh = Mesh2D(MESH_W, MESH_H)
-    # Start from a cold shared route table so route_cache_misses measures
-    # honest first-lookup work (and its distinct-pairs ceiling holds).
-    clear_shared_route_tables()
-    engine = IncrementalAdmissionEngine(
-        XYRouting(mesh), incremental=incremental
-    )
+    routing = XYRouting(Mesh2D(MESH_W, MESH_H))
+    if incremental:
+        # Start from a cold shared route table so route_cache_misses
+        # measures honest first-lookup work (and its distinct-pairs
+        # ceiling holds).
+        clear_shared_route_tables()
+        engine = IncrementalAdmissionEngine(routing)
+    else:
+        engine = ReferenceAdmission(routing)
     raw = []
     t0 = time.perf_counter()
     for op, payload in trace:
@@ -167,7 +172,7 @@ def replay(trace, incremental: bool):
             outcomes.append(("release", key, report_to_spec(report)))
         else:
             outcomes.append(("skip", key))
-    return seconds, outcomes, engine.stats
+    return seconds, outcomes, engine
 
 
 def bench_churn() -> dict:
@@ -176,16 +181,16 @@ def bench_churn() -> dict:
     outcomes_inc = outcomes_full = None
     stats = None
     for _ in range(max(1, REPEATS)):
-        sec, out, st = replay(trace, incremental=True)
+        sec, out, engine = replay(trace, incremental=True)
         if sec < best_inc:
-            best_inc, outcomes_inc, stats = sec, out, st
+            best_inc, outcomes_inc, stats = sec, out, engine.stats
         sec, out, _ = replay(trace, incremental=False)
         if sec < best_full:
             best_full, outcomes_full = sec, out
     if outcomes_inc != outcomes_full:
         raise AssertionError(
-            "incremental and full engines diverged on the churn trace — "
-            "refusing to record timings for a broken engine"
+            "incremental engine diverged from full reanalysis on the "
+            "churn trace — refusing to record timings for a broken engine"
         )
     admits = sum(1 for o in outcomes_inc if o[0] == "admit")
     distinct_pairs = len({
@@ -344,12 +349,8 @@ def main() -> None:
             "REPRO_BENCH_ADMIT_STREAMS": TARGET_LIVE,
             "REPRO_PERF_REPEATS": REPEATS,
             "REPRO_BENCH_PIPELINE": PIPELINE,
-            "REPRO_KERNEL": os.environ.get("REPRO_KERNEL", "numpy"),
             "REPRO_INCREMENTAL_HP": os.environ.get(
                 "REPRO_INCREMENTAL_HP", "1"
-            ),
-            "REPRO_ANALYSIS_PROCS": os.environ.get(
-                "REPRO_ANALYSIS_PROCS", ""
             ),
         },
         "workloads": {},

@@ -243,7 +243,6 @@ def main() -> None:
             "REPRO_BENCH_ADMIT_STREAMS": TARGET_LIVE,
             "REPRO_BENCH_SEED": SEED,
             "REPRO_PERF_REPEATS": REPEATS,
-            "REPRO_KERNEL": os.environ.get("REPRO_KERNEL", "numpy"),
         },
         "workloads": {},
     }

@@ -443,7 +443,7 @@ def _fill_row(
     """(Re)compute one row's allocation against the busy-from-above mask.
 
     The mask computation lives in :mod:`repro.core.kernel` (numpy
-    free-rank by default, optional numba scan): instead of scanning each
+    free-rank): instead of scanning each
     period window cell by cell, rank the FREE slots with a cumulative sum
     — within a window, the slots whose free-rank (relative to the window
     start) is in ``[1, C]`` are exactly the first ``C`` free slots the

@@ -58,17 +58,20 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .. import __version__
 from ..core import backends as _backends
-from ..errors import AnalysisError, ReproError, RoutingError, StreamError
+from ..errors import ReproError, RoutingError, StreamError
 from ..faults.plane import FaultPlane
 from ..io import stream_from_spec, stream_to_spec, topology_from_spec
 from ..obs.trace import span as _span
-from ..service.host import DegradedError, EngineHost
+from ..service.host import EngineHost
 from ..service.metrics import ServiceMetrics
 from ..service.persistence import RID_CAP
 from ..service.protocol import (
+    CODE_TO_ERROR,
+    DegradedError,
     ProtocolError,
     coerce_int,
     coerce_rid,
+    error_code,
     error_response,
 )
 from ..topology.degraded import normalize_link
@@ -79,24 +82,6 @@ from .regions import Channel, ChannelIndex, entry_channels
 __all__ = ["TenantFleet", "Fleet", "TenantSpec"]
 
 logger = logging.getLogger(__name__)
-
-_CODE_TO_ERROR = {
-    "degraded": DegradedError,
-    "protocol": ProtocolError,
-    "stream": StreamError,
-    "analysis": AnalysisError,
-}
-
-
-def _error_code(exc: ReproError) -> str:
-    explicit = getattr(exc, "code", None)
-    if isinstance(explicit, str) and explicit:
-        return explicit
-    for code, cls in _CODE_TO_ERROR.items():
-        if isinstance(exc, cls):
-            return code
-    return "error"
-
 
 class TenantSpec:
     """Static description of one tenant: name, auth key, topology."""
@@ -130,7 +115,6 @@ class TenantFleet:
         use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
-        incremental: Optional[bool] = None,
         fault_plane: Optional[FaultPlane] = None,
         shard_clients: Optional[List[Any]] = None,
     ):
@@ -166,7 +150,6 @@ class TenantFleet:
                     use_modify=use_modify,
                     residency_margin=residency_margin,
                     analysis=analysis,
-                    incremental=incremental,
                     fault_plane=fault_plane,
                 )
                 for i in range(shards)
@@ -378,14 +361,14 @@ class TenantFleet:
         if response.get("ok"):
             return response
         code = response.get("code")
-        exc = _CODE_TO_ERROR.get(code, ReproError)(
+        exc = CODE_TO_ERROR.get(code, ReproError)(
             response.get("error", "shard error")
         )
         # Codes outside the typed map (e.g. "worker": a shard worker
         # died mid-op and was restarted; the caller should retry) must
         # round-trip through the fleet's error response unchanged — the
         # retry loop keys on them.
-        if code and code not in _CODE_TO_ERROR:
+        if code and code not in CODE_TO_ERROR:
             exc.code = code
         raise exc
 
@@ -507,7 +490,7 @@ class TenantFleet:
                 None if t0 is None else time.perf_counter() - t0,
                 error=True,
             )
-            return error_response(request, str(exc), code=_error_code(exc))
+            return error_response(request, str(exc), code=error_code(exc))
         except Exception as exc:  # pragma: no cover - defensive
             logger.exception("internal error handling %r", op)
             self.metrics.record_op(
@@ -528,7 +511,6 @@ class TenantFleet:
                 "version": __version__,
                 "topology": self.topology_spec,
                 "nodes": self.topology.num_nodes,
-                "incremental": self.hosts[0].incremental,
                 "analyses": list(_backends.names()),
                 "default_analysis": self.hosts[0].default_analysis,
                 "shards": len(self.hosts),
@@ -1142,7 +1124,6 @@ class Fleet:
         *,
         shards: int = 2,
         state_dir: Optional[Union[str, Path]] = None,
-        incremental: Optional[bool] = None,
         fault_plane: Optional[FaultPlane] = None,
         workers: int = 0,
     ):
@@ -1181,7 +1162,6 @@ class Fleet:
                         ),
                         "topology": t.topology_spec,
                         "analysis": t.analysis,
-                        "incremental": incremental,
                     }
                     for i in range(shards)
                 })
@@ -1194,7 +1174,6 @@ class Fleet:
                         shards=shards,
                         state_dir=self.state_dir / t.name,
                         analysis=t.analysis,
-                        incremental=incremental,
                         shard_clients=[
                             WorkerShard(
                                 self.supervisor, f"{t.name}/shard-{i}"
@@ -1218,7 +1197,6 @@ class Fleet:
                         else self.state_dir / t.name
                     ),
                     analysis=t.analysis,
-                    incremental=incremental,
                     fault_plane=fault_plane,
                 )
                 for t in tenants

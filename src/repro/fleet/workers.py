@@ -65,9 +65,14 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..errors import AnalysisError, ReproError, StreamError
-from ..service.host import DegradedError, EngineHost
-from ..service.protocol import ProtocolError, encode, error_response
+from ..errors import ReproError
+from ..service.host import EngineHost
+from ..service.protocol import (
+    CODE_TO_ERROR,
+    ProtocolError,
+    encode,
+    error_response,
+)
 from ..service.server import clear_stale_socket
 
 __all__ = [
@@ -92,13 +97,6 @@ RPC_TIMEOUT = float(os.environ.get("REPRO_WORKER_RPC_TIMEOUT", "60"))
 
 #: ``sun_path`` is ~108 bytes on Linux; leave headroom for the name.
 _SOCKET_PATH_BUDGET = 90
-
-_CODE_TO_ERROR = {
-    "degraded": DegradedError,
-    "protocol": ProtocolError,
-    "stream": StreamError,
-    "analysis": AnalysisError,
-}
 
 
 class WorkerDied(ReproError):
@@ -129,7 +127,6 @@ class _WorkerServer:
                 spec["topology"],
                 state_dir=spec["state_dir"],
                 analysis=spec.get("analysis"),
-                incremental=spec.get("incremental"),
             )
             logger.info(
                 "worker %d recovered shard %s (%d streams)",
@@ -245,10 +242,7 @@ class _WorkerServer:
                 "ok": True,
                 "pid": os.getpid(),
                 "shards": {
-                    key: {
-                        "incremental": host.incremental,
-                        "default_analysis": host.default_analysis,
-                    }
+                    key: {"default_analysis": host.default_analysis}
                     for key, host in self.hosts.items()
                 },
             }
@@ -467,7 +461,7 @@ class WorkerProcess:
         self.restarts = 0
         #: Serialises concurrent ensure() calls racing to respawn.
         self.respawn_lock = threading.Lock()
-        #: shard key -> {incremental, default_analysis} from worker_hello.
+        #: shard key -> {default_analysis} from worker_hello.
         self.shard_meta: Dict[str, Dict[str, Any]] = {}
 
     @property
@@ -848,18 +842,13 @@ class WorkerShard:
                 f"shard worker for {self.key} died mid-op ({exc}); "
                 "restarted — retry"
             )
-            retryable.code = "worker"  # round-trips via _error_code
+            retryable.code = "worker"  # round-trips via error_code
             raise retryable from None
         if not response.get("ok"):
-            raise _CODE_TO_ERROR.get(response.get("code"), ReproError)(
+            raise CODE_TO_ERROR.get(response.get("code"), ReproError)(
                 response.get("error", f"shard {self.key} RPC failed")
             )
         return response
-
-    @property
-    def incremental(self) -> bool:
-        return bool(self.supervisor.shard_meta(self.key)
-                    .get("incremental", True))
 
     @property
     def default_analysis(self) -> str:

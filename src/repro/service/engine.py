@@ -53,21 +53,15 @@ by a traversal that expands dirty nodes edge-by-edge but absorbs every
 clean neighbour's (unchanged, already closed) reach set wholesale — a
 clean stream can never reach a dirty one, or it would reach a removed id.
 
-Dirty-set ``Cal_U`` runs that miss the memo are independent, so when the
-dirty frontier is large enough they fan out over a persistent
-:class:`~concurrent.futures.ProcessPoolExecutor`
-(:func:`~repro.analysis.parallel.map_verdicts`) and merge in sorted-id
-order — bit-identical to the serial path.
+Dirty-set ``Cal_U`` runs that miss the memo are computed in process, in
+sorted-id order, one prepared analyzer per bound backend. The from-scratch
+oracle every test compares the engine against lives in
+``tests/reference.py``.
 
-Escape hatches (all default-on paths have default-off twins for CI's
-equivalence legs and the perf baselines):
+Escape hatch (kept for CI's equivalence leg):
 
-* ``REPRO_INCREMENTAL=0`` — force the full analyzer on every op;
 * ``REPRO_INCREMENTAL_HP=0`` — keep closure invalidation but rebuild each
-  dirty HP set by graph traversal instead of from the reach deltas;
-* ``REPRO_ANALYSIS_PROCS=0`` — never use the verdict process pool
-  (unset = ``os.cpu_count()`` workers; parallelism only engages when the
-  dirty frontier reaches ``REPRO_ANALYSIS_THRESHOLD``, default 8).
+  dirty HP set by graph traversal instead of from the reach deltas.
 
 **Closure-scoped guarantees (finding F-7).** A stream's bound is only a
 guarantee while its transitive HP closure is itself admitted (the bound
@@ -81,10 +75,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..analysis.parallel import map_verdicts, verdict_processes_default
 from ..core import backends as _backends
 from ..core.admission import AdmissionDecision
 from ..core.feasibility import (
@@ -108,32 +101,15 @@ __all__ = ["EngineStats", "IncrementalAdmissionEngine", "RoutingDelta"]
 _MEMO_CAP = 8192
 
 
-def incremental_enabled_default() -> bool:
-    """Whether incremental recomputation is on (``REPRO_INCREMENTAL`` != 0)."""
-    return os.environ.get("REPRO_INCREMENTAL", "1") != "0"
-
-
 def hp_incremental_enabled_default() -> bool:
     """Whether HP sets come from reach deltas (``REPRO_INCREMENTAL_HP`` != 0)."""
     return os.environ.get("REPRO_INCREMENTAL_HP", "1") != "0"
 
 
-def parallel_threshold_default() -> int:
-    """Minimum dirty-frontier size before the verdict pool engages.
-
-    ``REPRO_ANALYSIS_THRESHOLD`` (default 8): below it, per-task IPC
-    (pickling the prepared analyzer to the workers) costs more than the
-    ``Cal_U`` runs it saves.
-    """
-    raw = os.environ.get("REPRO_ANALYSIS_THRESHOLD", "").strip()
-    if not raw:
-        return 8
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise AnalysisError(
-            f"REPRO_ANALYSIS_THRESHOLD must be an integer, got {raw!r}"
-        ) from None
+# Named (not inlined) so perfbench/spans.py can trace the verdict phase.
+def map_verdicts(analyzer, ids: Iterable[int]) -> Dict[int, StreamVerdict]:
+    """Compute ``analyzer.cal_u(j)`` for every id, in sorted-id order."""
+    return {j: analyzer.cal_u(j) for j in sorted(ids)}
 
 
 @dataclass
@@ -163,8 +139,7 @@ class EngineStats:
     dirty_total: int = 0
     #: Per-phase wall-clock breakdown of the admission hot path. Note
     #: ``verdict_seconds`` covers the whole verdict phase and therefore
-    #: *includes* ``diagram_seconds`` (the diagram build inside ``Cal_U``);
-    #: diagram time spent inside pool workers is not visible here.
+    #: *includes* ``diagram_seconds`` (the diagram build inside ``Cal_U``).
     route_seconds: float = 0.0
     hp_seconds: float = 0.0
     diagram_seconds: float = 0.0
@@ -257,17 +232,10 @@ class IncrementalAdmissionEngine:
         ``REPRO_ANALYSIS_BACKEND`` environment variable. Per-request
         backends ride on :meth:`try_admit`'s ``analysis`` keyword and
         are remembered per stream until release.
-    incremental:
-        ``True``/``False`` force the mode; ``None`` (default) reads the
-        ``REPRO_INCREMENTAL`` environment variable (unset/``1`` = on).
     incremental_hp:
         Whether dirty HP sets come from the maintained reach closures
         (delta path) or a fresh graph traversal. ``None`` reads
         ``REPRO_INCREMENTAL_HP`` (unset/``1`` = delta path).
-    processes:
-        Worker count for parallel verdict recomputation; ``None`` reads
-        ``REPRO_ANALYSIS_PROCS`` (unset = ``os.cpu_count()``, ``0`` or
-        ``1`` = serial).
     """
 
     def __init__(
@@ -278,9 +246,7 @@ class IncrementalAdmissionEngine:
         use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
-        incremental: Optional[bool] = None,
         incremental_hp: Optional[bool] = None,
-        processes: Optional[int] = None,
     ):
         self.routing = routing
         self.latency_model = latency_model or NoLoadLatency()
@@ -289,18 +255,10 @@ class IncrementalAdmissionEngine:
         # Resolved eagerly so a typo'd REPRO_ANALYSIS_BACKEND fails at
         # construction, not on the first admit.
         self.default_analysis = _backends.resolve_name(analysis)
-        if incremental is None:
-            incremental = incremental_enabled_default()
-        self.incremental = bool(incremental)
         if incremental_hp is None:
             self.incremental_hp = hp_incremental_enabled_default()
         else:
             self.incremental_hp = bool(incremental_hp)
-        if processes is None:
-            self._pool_processes = verdict_processes_default()
-        else:
-            self._pool_processes = processes if processes >= 2 else None
-        self._parallel_threshold = parallel_threshold_default()
         self.stats = EngineStats()
 
         self._admitted = StreamSet()   # streams as requested (raw latency)
@@ -450,10 +408,7 @@ class IncrementalAdmissionEngine:
             self._next_id = top + 1
 
         self.stats.ops += 1
-        if not self.incremental:
-            decision = self._full_admit(requests, backend_name)
-        else:
-            decision = self._incremental_admit(requests, backend_name)
+        decision = self._incremental_admit(requests, backend_name)
         if decision.admitted:
             self.stats.admits += 1
         else:
@@ -479,12 +434,6 @@ class IncrementalAdmissionEngine:
             )
         self.stats.ops += 1
         self.stats.releases += 1
-        if not self.incremental:
-            for sid in ids:
-                self._admitted.remove(sid)
-                self._analysis.pop(sid, None)
-            self._full_rebuild()
-            return
         # Dirty set on the OLD graph: whoever could reach a removed id.
         dirty = self._reverse_reachable(ids) - set(ids)
         self.stats.note_dirty(len(dirty))
@@ -543,39 +492,30 @@ class IncrementalAdmissionEngine:
         ]
         evicted: List[int] = list(disconnected)
 
-        if not self.incremental:
-            for sid in disconnected:
-                self._admitted.remove(sid)
-                self._analysis.pop(sid, None)
-            self.routing = new_routing
-            self._route_table = new_table
+        # Capture before detach (detach pops the analysis name too).
+        moved = [
+            (self._admitted[sid], self._analysis[sid]) for sid in changed
+        ]
+        dirty = self._reverse_reachable(changed + disconnected)
+        for sid in changed + disconnected:
+            self._detach(sid)
+        self.routing = new_routing
+        self._route_table = new_table
+        for stream, name in moved:
+            self._analysis[stream.stream_id] = name
+            dirty |= self._attach(stream)
+            dirty.add(stream.stream_id)
+        dirty &= set(self._admitted.ids())
+        self.stats.note_dirty(len(dirty))
+        if dirty and len(dirty) >= len(self._admitted):
             self._full_rebuild()
+            self.stats.full_fallbacks += 1
         else:
-            # Capture before detach (detach pops the analysis name too).
-            moved = [
-                (self._admitted[sid], self._analysis[sid])
-                for sid in changed
-            ]
-            dirty = self._reverse_reachable(changed + disconnected)
-            for sid in changed + disconnected:
-                self._detach(sid)
-            self.routing = new_routing
-            self._route_table = new_table
-            for stream, name in moved:
-                self._analysis[stream.stream_id] = name
-                dirty |= self._attach(stream)
-                dirty.add(stream.stream_id)
-            dirty &= set(self._admitted.ids())
-            self.stats.note_dirty(len(dirty))
-            if dirty and len(dirty) >= len(self._admitted):
-                self._full_rebuild()
-                self.stats.full_fallbacks += 1
-            else:
-                if self.incremental_hp:
-                    t0 = time.perf_counter()
-                    self._recompute_reach(dirty)
-                    self.stats.hp_seconds += time.perf_counter() - t0
-                self._refresh(dirty)
+            if self.incremental_hp:
+                t0 = time.perf_counter()
+                self._recompute_reach(dirty)
+                self.stats.hp_seconds += time.perf_counter() - t0
+            self._refresh(dirty)
 
         # Eviction fixpoint: drop deadline-missers until feasible again.
         rerouted_left = set(rerouted)
@@ -609,7 +549,7 @@ class IncrementalAdmissionEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Admission paths
+    # Admission
     # ------------------------------------------------------------------ #
 
     def _incremental_admit(
@@ -662,19 +602,6 @@ class IncrementalAdmissionEngine:
         for j, vd in saved_vd.items():
             if vd is not None and j in self._admitted:
                 self._verdicts[j] = vd
-        return AdmissionDecision(False, report, report.infeasible_ids())
-
-    def _full_admit(
-        self, requests: Tuple[MessageStream, ...], backend_name: str
-    ) -> AdmissionDecision:
-        saved = self._snapshot_caches()
-        for r in requests:
-            self._analysis[r.stream_id] = backend_name
-            self._attach(r, structures_only=True)
-        report = self._full_rebuild()
-        if report.success:
-            return AdmissionDecision(True, report, ())
-        self._restore_caches(saved)
         return AdmissionDecision(False, report, report.infeasible_ids())
 
     def _full_rebuild(self) -> FeasibilityReport:
@@ -796,9 +723,7 @@ class IncrementalAdmissionEngine:
             for j in pending:
                 by_backend.setdefault(self._analysis[j], []).append(j)
             computed: Dict[int, StreamVerdict] = {}
-            procs = self._pool_processes
             for name in sorted(by_backend):
-                group = by_backend[name]
                 analyzer = _backends.get(name).analyzer_from_prepared(
                     self._resolved,
                     self._channels,
@@ -810,13 +735,7 @@ class IncrementalAdmissionEngine:
                     residency_margin=self.residency_margin,
                 )
                 analyzer.timing_sink = stats
-                if (procs is not None
-                        and len(group) >= self._parallel_threshold):
-                    computed.update(
-                        map_verdicts(analyzer, group, processes=procs)
-                    )
-                else:
-                    computed.update({j: analyzer.cal_u(j) for j in group})
+                computed.update(map_verdicts(analyzer, by_backend[name]))
             for j in pending:
                 v = computed[j]
                 self._verdicts[j] = v
@@ -875,7 +794,6 @@ class IncrementalAdmissionEngine:
         self,
         stream: MessageStream,
         *,
-        structures_only: bool = False,
         undo_reach: Optional[Dict[int, Optional[Set[int]]]] = None,
     ) -> Set[int]:
         """Add one stream to the admitted set and the dependency indexes.
@@ -883,10 +801,7 @@ class IncrementalAdmissionEngine:
         Returns the reverse-reachable set of the new stream on the updated
         graph (the ids whose closures changed, new id included); the union
         of these sets over a batch equals the batch's dirty set, because
-        every new edge is incident to some added stream. With
-        ``structures_only`` (full mode) only the admitted set is
-        maintained — the analyzer rebuild supplies the rest — and the
-        returned set is empty.
+        every new edge is incident to some added stream.
 
         When ``undo_reach`` is given, every reach entry this attach
         replaces is recorded there once (``None`` = was absent), so a
@@ -894,8 +809,6 @@ class IncrementalAdmissionEngine:
         snapshot.
         """
         self._admitted.add(stream)
-        if structures_only:
-            return set()
         k = stream.stream_id
         chans = self._route(stream.src, stream.dst)
         self._channels[k] = chans
@@ -1027,41 +940,5 @@ class IncrementalAdmissionEngine:
             for v in bl:
                 self._rev[v].add(sid)
 
-    # ------------------------------------------------------------------ #
-    # Rollback (rejected admissions, full mode)
-    # ------------------------------------------------------------------ #
-
-    def _snapshot_caches(self):
-        return (
-            StreamSet(self._admitted),
-            StreamSet(self._resolved),
-            dict(self._channels),
-            dict(self._channel_users),
-            dict(self._blockers),
-            {k: set(v) for k, v in self._rev.items()},
-            {k: set(v) for k, v in self._reach.items()},
-            dict(self._hp_sets),
-            dict(self._verdicts),
-            dict(self._analysis),
-        )
-
-    def _restore_caches(self, saved) -> None:
-        (
-            self._admitted,
-            self._resolved,
-            self._channels,
-            self._channel_users,
-            self._blockers,
-            self._rev,
-            self._reach,
-            self._hp_sets,
-            self._verdicts,
-            self._analysis,
-        ) = saved
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "incremental" if self.incremental else "full"
-        return (
-            f"IncrementalAdmissionEngine(admitted={len(self._admitted)}, "
-            f"mode={mode})"
-        )
+        return f"IncrementalAdmissionEngine(admitted={len(self._admitted)})"

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from .. import __version__
 from ..core import backends as _backends
 from ..core.streams import MessageStream
-from ..errors import AnalysisError, ReproError, StreamError
+from ..errors import ReproError
 from ..faults.plane import FaultPlane
 from ..io import (
     report_to_spec,
@@ -50,38 +50,17 @@ from .engine import IncrementalAdmissionEngine, RoutingDelta
 from .metrics import ServiceMetrics
 from .persistence import RID_CAP, BrokerState
 from .protocol import (
+    DegradedError,
     ProtocolError,
     coerce_int,
     coerce_rid,
+    error_code,
     error_response,
 )
 
 __all__ = ["DegradedError", "EngineHost"]
 
 logger = logging.getLogger(__name__)
-
-
-class DegradedError(ReproError):
-    """Raised for mutations while the host is read-only (``degraded``).
-
-    Entered when the journal becomes unwritable: the failed mutation is
-    rolled back (memory must keep matching disk), and further mutations
-    are refused until a successful ``snapshot`` op re-establishes durable
-    storage. Reads and idempotent replays of already-committed mutations
-    keep working throughout.
-    """
-
-
-def _error_code(exc: ReproError) -> str:
-    if isinstance(exc, DegradedError):
-        return "degraded"
-    if isinstance(exc, ProtocolError):
-        return "protocol"
-    if isinstance(exc, StreamError):
-        return "stream"
-    if isinstance(exc, AnalysisError):
-        return "analysis"
-    return "error"
 
 
 class EngineHost:
@@ -93,8 +72,6 @@ class EngineHost:
         Problem-file topology spec (``{"type": "mesh", "width": 8, ...}``).
     state_dir:
         Directory for snapshot + journal; ``None`` disables persistence.
-    incremental:
-        Engine mode override; ``None`` reads ``REPRO_INCREMENTAL``.
     fault_plane:
         Chaos-testing hook (see :mod:`repro.faults.plane`); installed
         into the persistence layer. ``None`` in production use.
@@ -111,7 +88,6 @@ class EngineHost:
         use_modify: bool = True,
         residency_margin: int = 0,
         analysis: Optional[str] = None,
-        incremental: Optional[bool] = None,
         fault_plane: Optional[FaultPlane] = None,
         on_shutdown: Optional[Callable[[], None]] = None,
     ):
@@ -127,7 +103,6 @@ class EngineHost:
             use_modify=use_modify,
             residency_margin=residency_margin,
             analysis=analysis,
-            incremental=incremental,
         )
         self.metrics = ServiceMetrics()
         self.on_shutdown = on_shutdown
@@ -283,10 +258,6 @@ class EngineHost:
     # host in a supervised child process.
 
     @property
-    def incremental(self) -> bool:
-        return self.engine.incremental
-
-    @property
     def default_analysis(self) -> str:
         return self.engine.default_analysis
 
@@ -410,7 +381,7 @@ class EngineHost:
                 None if t0 is None else time.perf_counter() - t0,
                 error=True,
             )
-            return error_response(request, str(exc), code=_error_code(exc))
+            return error_response(request, str(exc), code=error_code(exc))
         except Exception as exc:
             # Last-resort guard: an escaped exception would kill the single
             # worker task and wedge every connection. Persistence failures
@@ -434,7 +405,6 @@ class EngineHost:
                 "version": __version__,
                 "topology": self.topology_spec,
                 "nodes": self.topology.num_nodes,
-                "incremental": self.engine.incremental,
                 "analyses": list(_backends.names()),
                 "default_analysis": self.engine.default_analysis,
             }

@@ -68,14 +68,17 @@ import json
 import random
 from typing import Any, Dict, Optional
 
-from ..errors import ReproError
+from ..errors import AnalysisError, ReproError, StreamError
 
 __all__ = [
+    "CODE_TO_ERROR",
+    "DegradedError",
     "ProtocolError",
     "coerce_int",
     "coerce_rid",
     "encode",
     "decode",
+    "error_code",
     "error_response",
     "retry_backoff",
 ]
@@ -99,6 +102,17 @@ KNOWN_OPS = (
 
 class ProtocolError(ReproError):
     """Raised for malformed broker requests (bad JSON, unknown op, ...)."""
+
+
+class DegradedError(ReproError):
+    """Raised for mutations while the host is read-only (``degraded``).
+
+    Entered when the journal becomes unwritable: the failed mutation is
+    rolled back (memory must keep matching disk), and further mutations
+    are refused until a successful ``snapshot`` op re-establishes durable
+    storage. Reads and idempotent replays of already-committed mutations
+    keep working throughout.
+    """
 
 
 def encode(message: Dict[str, Any]) -> bytes:
@@ -191,3 +205,25 @@ def error_response(
     if isinstance(request, dict) and "id" in request:
         resp["id"] = request["id"]
     return resp
+
+
+#: Typed error classes by wire ``code``: a proxy (fleet shard, worker
+#: RPC) re-raises a shard's error response as the class it came from.
+CODE_TO_ERROR = {
+    "degraded": DegradedError,
+    "protocol": ProtocolError,
+    "stream": StreamError,
+    "analysis": AnalysisError,
+}
+
+
+def error_code(exc: ReproError) -> str:
+    """The wire ``code`` for an error: an explicit ``exc.code`` (e.g.
+    ``"worker"``, a retryable worker death) wins, then the typed map."""
+    explicit = getattr(exc, "code", None)
+    if isinstance(explicit, str) and explicit:
+        return explicit
+    for code, cls in CODE_TO_ERROR.items():
+        if isinstance(exc, cls):
+            return code
+    return "error"

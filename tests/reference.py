@@ -1,4 +1,4 @@
-"""Literal (slow) reference implementation of the paper's pseudocode.
+"""Literal (slow) reference implementations: test oracles only.
 
 ``generate_init_diagram_reference`` transcribes ``Generate_Init_Diagram``
 cell by cell, exactly as printed in section 4.3: scan each instance's
@@ -6,25 +6,49 @@ window slot by slot, allocate free slots until the demand is met, mark
 skipped busy slots WAITING, propagate BUSY downwards. It is O(rows x
 dtime) Python and exists purely as a test oracle for the vectorised
 production implementation (`repro.core.timing_diagram`), which replaces
-the scan with a cumulative-sum ranking.
+the scan with a cumulative-sum ranking. ``fill_masks_scan`` is the same
+scan for one row against a busy mask, the oracle of
+`repro.core.kernel.fill_masks_numpy`.
 
 The equivalence test (`tests/test_reference_equivalence.py`) drives both
 over hypothesis-generated stream sets and requires bit-identical cell
 states.
+
+``ReferenceAdmission`` is the from-scratch oracle of the incremental
+admission engine (`repro.service.engine`): every op reruns the whole
+analysis with fresh analyzers, no caches and no deltas.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
+from repro.core import backends
+from repro.core.admission import AdmissionDecision
 from repro.core.bdg import indirect_processing_order
-from repro.core.hpset import HPSet
+from repro.core.feasibility import FeasibilityReport
+from repro.core.hpset import HPSet, build_all_hp_sets
 from repro.core.streams import MessageStream, StreamSet
 from repro.core.timing_diagram import CellState
 
-__all__ = ["generate_init_diagram_reference", "modify_diagram_reference"]
+__all__ = [
+    "ReferenceAdmission",
+    "fill_masks_scan",
+    "generate_init_diagram_reference",
+    "modify_diagram_reference",
+]
 
 
 def generate_init_diagram_reference(
@@ -139,3 +163,120 @@ def modify_diagram_reference(
         if changed:
             grid = generate_init_diagram_reference(rows, dtime, removed)
     return grid, removed
+
+
+def fill_masks_scan(
+    busy: np.ndarray,
+    period: int,
+    length: int,
+    nwin: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The paper's literal scan for one row: walk each window, claim the
+    first ``C`` free slots, mark skipped busy slots WAITING while
+    unsatisfied. Returns ``(alloc, wait)`` like the production kernel."""
+    n = busy.shape[0]
+    alloc = np.zeros(n, np.bool_)
+    wait = np.zeros(n, np.bool_)
+    for w in range(nwin):
+        lo = w * period + 1
+        hi = min((w + 1) * period, n - 1)
+        got = 0
+        for t in range(lo, hi + 1):
+            if busy[t]:
+                if got < length:
+                    wait[t] = True
+            elif got < length:
+                alloc[t] = True
+                got += 1
+    return alloc, wait
+
+
+class ReferenceAdmission:
+    """From-scratch admission: the oracle of the incremental engine.
+
+    Same ``try_admit`` / ``release`` / ``current_report`` / ``admitted``
+    surface as :class:`~repro.service.engine.IncrementalAdmissionEngine`.
+    Every op runs fresh :class:`~repro.core.feasibility.FeasibilityAnalyzer`
+    s over the whole trial set on the current ``routing``: one analyzer
+    per (bound backend, residency margin) group, each over the full
+    union, each deciding only its own group's streams.
+    """
+
+    def __init__(
+        self,
+        routing,
+        *,
+        residency_margin: int = 0,
+        analysis: Optional[str] = None,
+    ):
+        self.routing = routing
+        self.residency_margin = residency_margin
+        self.default_analysis = backends.resolve_name(analysis)
+        self.admitted = StreamSet()
+        #: sid -> (backend name, residency margin) it is vetted under.
+        self._group: Dict[int, Tuple[str, int]] = {}
+
+    def current_report(self) -> FeasibilityReport:
+        return self._report(self.admitted, self._group)
+
+    def closures(self) -> Dict[int, Tuple[int, ...]]:
+        """Every admitted stream's HP closure, from fresh HP sets."""
+        hp_sets = build_all_hp_sets(StreamSet(self.admitted), self.routing)
+        return {sid: hp.ids() for sid, hp in hp_sets.items()}
+
+    def try_admit(
+        self,
+        requests: Union[MessageStream, Iterable[MessageStream]],
+        *,
+        analysis: Optional[str] = None,
+        residency_margin: Optional[int] = None,
+    ) -> AdmissionDecision:
+        if isinstance(requests, MessageStream):
+            requests = (requests,)
+        group = (
+            backends.resolve_name(analysis or self.default_analysis),
+            self.residency_margin if residency_margin is None
+            else residency_margin,
+        )
+        trial = StreamSet(self.admitted)
+        groups = dict(self._group)
+        for r in requests:
+            trial.add(r)
+            groups[r.stream_id] = group
+        report = self._report(trial, groups)
+        if not report.success:
+            return AdmissionDecision(False, report, report.infeasible_ids())
+        self.admitted, self._group = trial, groups
+        return AdmissionDecision(True, report, ())
+
+    def release(self, stream_ids: Union[int, Iterable[int]]) -> None:
+        if isinstance(stream_ids, int):
+            stream_ids = (stream_ids,)
+        for sid in stream_ids:
+            self.admitted.remove(sid)
+            del self._group[sid]
+
+    def _report(
+        self, streams: StreamSet, group: Dict[int, Tuple[str, int]]
+    ) -> FeasibilityReport:
+        if len(streams) == 0:
+            return FeasibilityReport.trivial()
+        members: Dict[Tuple[str, int], List[int]] = {}
+        for sid in streams.ids():
+            members.setdefault(group[sid], []).append(sid)
+        verdicts = {}
+        for (name, margin), ids in sorted(members.items()):
+            analyzer = backends.get(name).analyzer(
+                StreamSet(streams), self.routing, residency_margin=margin
+            )
+            for sid in ids:
+                verdicts[sid] = analyzer.cal_u(sid)
+        # determine_feasibility's order, so report specs compare equal.
+        ordered = {
+            s.stream_id: verdicts[s.stream_id]
+            for s in analyzer.streams.sorted_by_priority()
+        }
+        return FeasibilityReport(
+            verdicts=ordered,
+            success=all(v.feasible for v in ordered.values()),
+        )

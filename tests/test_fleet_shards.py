@@ -11,10 +11,12 @@ import json
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import AnalysisError, ReproError, StreamError
 from repro.fleet.regions import ChannelIndex, entry_channels
 from repro.fleet.shards import Fleet, TenantFleet, TenantSpec
+from repro.service.engine import IncrementalAdmissionEngine
 from repro.service.host import EngineHost
+from repro.service.protocol import DegradedError, ProtocolError
 from repro.topology.route_table import shared_route_table
 
 TOPO = {"type": "mesh", "width": 6, "height": 6}
@@ -485,3 +487,34 @@ class TestFleet:
         assert json.dumps(spec_f, sort_keys=True) == json.dumps(
             spec_r, sort_keys=True
         )
+
+
+# ---------------------------------------------------------------------- #
+# Error codes: one table for hosts and the fleet
+# ---------------------------------------------------------------------- #
+
+
+class TestErrorCodes:
+    @pytest.mark.parametrize("exc_class, code", [
+        (DegradedError, "degraded"),
+        (ProtocolError, "protocol"),
+        (StreamError, "stream"),
+        (AnalysisError, "analysis"),
+        (ReproError, "error"),
+    ])
+    def test_host_and_fleet_report_the_same_code(
+        self, monkeypatch, exc_class, code
+    ):
+        """An engine error reaches the client with one wire code, whether
+        the engine sits behind a host or behind a shard of the fleet."""
+        def fail(self, *args, **kwargs):
+            raise exc_class("injected")
+
+        monkeypatch.setattr(IncrementalAdmissionEngine, "try_admit", fail)
+        request = {"op": "admit", "streams": [spec(0, 2)]}
+        host = EngineHost(TOPO)
+        fleet = Fleet([TenantSpec("acme", "k", TOPO)])
+        via_host = host.handle_request(dict(request))
+        via_fleet = fleet.handle_request("acme", dict(request))
+        assert not via_host["ok"] and not via_fleet["ok"]
+        assert via_host["code"] == via_fleet["code"] == code

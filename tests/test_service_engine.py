@@ -1,10 +1,9 @@
 """Unit + property tests for the incremental admission engine.
 
-The load-bearing property (ISSUE 3 acceptance): across a long fuzzed
-admit/release trace, the incremental engine's decisions and reports are
-**bit-identical** to full reanalysis — both to the engine's own full mode
-(``REPRO_INCREMENTAL=0`` path) and to a from-scratch
-:class:`FeasibilityAnalyzer` over the same admitted set.
+The load-bearing property: across a long fuzzed admit/release trace,
+the incremental engine's decisions and reports are **bit-identical** to
+the from-scratch reference (``tests/reference.py``), which reruns fresh
+:class:`FeasibilityAnalyzer` s over the whole set on every op.
 """
 
 import random
@@ -16,11 +15,9 @@ from repro.core.hpset import build_all_hp_sets
 from repro.core.streams import MessageStream, StreamSet
 from repro.errors import AnalysisError, StreamError
 from repro.io import report_to_spec
-from repro.service.engine import (
-    IncrementalAdmissionEngine,
-    incremental_enabled_default,
-)
+from repro.service.engine import IncrementalAdmissionEngine
 from repro.topology import Mesh2D, XYRouting
+from tests.reference import ReferenceAdmission
 
 
 @pytest.fixture()
@@ -51,7 +48,7 @@ def ms(mesh, sid, src, dst, priority, period=200, length=10, deadline=None):
 class TestEngineBasics:
     def test_admit_and_report(self, setup):
         mesh, routing = setup
-        eng = IncrementalAdmissionEngine(routing, incremental=True)
+        eng = IncrementalAdmissionEngine(routing)
         d = eng.try_admit(ms(mesh, 0, (0, 0), (5, 0), priority=1))
         assert d.admitted and d.violations == ()
         assert len(eng.admitted) == 1
@@ -65,7 +62,7 @@ class TestEngineBasics:
 
     def test_rejection_rolls_back_all_caches(self, setup):
         mesh, routing = setup
-        eng = IncrementalAdmissionEngine(routing, incremental=True)
+        eng = IncrementalAdmissionEngine(routing)
         victim = ms(mesh, 0, (0, 0), (5, 0), priority=1, length=10,
                     period=500, deadline=15)
         assert eng.try_admit(victim).admitted
@@ -81,7 +78,7 @@ class TestEngineBasics:
 
     def test_batch_all_or_nothing(self, setup):
         mesh, routing = setup
-        eng = IncrementalAdmissionEngine(routing, incremental=True)
+        eng = IncrementalAdmissionEngine(routing)
         good = ms(mesh, 0, (0, 0), (5, 0), priority=1)
         bad = ms(mesh, 1, (0, 1), (5, 1), priority=1, deadline=2)
         assert not eng.try_admit([good, bad]).admitted
@@ -102,7 +99,7 @@ class TestEngineBasics:
 
     def test_release_unknown_id_names_it(self, setup):
         mesh, routing = setup
-        eng = IncrementalAdmissionEngine(routing, incremental=True)
+        eng = IncrementalAdmissionEngine(routing)
         eng.try_admit(ms(mesh, 0, (0, 0), (3, 0), priority=1))
         with pytest.raises(StreamError, match=r"\[7\]"):
             eng.release([0, 7])
@@ -123,7 +120,7 @@ class TestEngineBasics:
 
     def test_closure_matches_fresh_hp_sets(self, setup):
         mesh, routing = setup
-        eng = IncrementalAdmissionEngine(routing, incremental=True)
+        eng = IncrementalAdmissionEngine(routing)
         streams = [
             ms(mesh, 0, (0, 0), (5, 0), priority=3, length=2),
             ms(mesh, 1, (2, 0), (2, 4), priority=2, length=2),
@@ -139,19 +136,9 @@ class TestEngineBasics:
         with pytest.raises(StreamError):
             eng.closure(99)
 
-    def test_env_escape_hatch(self, setup, monkeypatch):
-        _, routing = setup
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert not incremental_enabled_default()
-        assert not IncrementalAdmissionEngine(routing).incremental
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-        assert IncrementalAdmissionEngine(routing).incremental
-        monkeypatch.delenv("REPRO_INCREMENTAL")
-        assert IncrementalAdmissionEngine(routing).incremental
-
     def test_stats_counters(self, setup):
         mesh, routing = setup
-        eng = IncrementalAdmissionEngine(routing, incremental=True)
+        eng = IncrementalAdmissionEngine(routing)
         eng.try_admit(ms(mesh, 0, (0, 0), (3, 0), priority=1))
         eng.try_admit(ms(mesh, 1, (0, 1), (3, 1), priority=1))
         eng.release(0)
@@ -192,68 +179,56 @@ class TestPreparedAnalyzer:
 
 
 class TestFuzzedEquivalence:
-    """ISSUE 3 acceptance: 500+ op fuzzed trace, bit-identical reports."""
+    """500+ op fuzzed trace, bit-identical to full reanalysis (the
+    from-scratch reference).
+
+    Both sides resolve the process-default backend, so the pin holds on
+    the REPRO_ANALYSIS_BACKEND CI legs too."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_incremental_vs_full_500_ops(self, setup, seed):
         mesh, routing = setup
         rng = random.Random(seed)
-        inc = IncrementalAdmissionEngine(routing, incremental=True)
-        full = IncrementalAdmissionEngine(routing, incremental=False)
+        inc = IncrementalAdmissionEngine(routing)
+        ref = ReferenceAdmission(routing)
         live = []
         for op in range(520):
             if live and rng.random() < 0.45:
                 sid = live.pop(rng.randrange(len(live)))
                 inc.release(sid)
-                full.release(sid)
+                ref.release(sid)
             else:
                 sid = inc.fresh_id()
-                assert full.fresh_id() == sid
                 stream = rand_stream(rng, sid)
                 d1 = inc.try_admit(stream)
-                d2 = full.try_admit(stream)
+                d2 = ref.try_admit(stream)
                 assert d1.admitted == d2.admitted, f"op {op}"
                 assert d1.violations == d2.violations, f"op {op}"
                 assert d1.report.verdicts == d2.report.verdicts, f"op {op}"
                 if d1.admitted:
                     live.append(sid)
-            r1, r2 = inc.current_report(), full.current_report()
+            r1, r2 = inc.current_report(), ref.current_report()
             assert r1.verdicts == r2.verdicts, f"op {op}"
             assert report_to_spec(r1) == report_to_spec(r2), f"op {op}"
-            # Pin against a from-scratch analyzer periodically (each one
-            # is a full O(n) reanalysis; every op would be quadratic).
-            # Built under the engine's default backend so the pin holds
-            # on the REPRO_ANALYSIS_BACKEND CI legs too.
-            if op % 40 == 0 and len(inc.admitted):
-                from repro.core import backends
-
-                fresh = backends.get(inc.default_analysis).analyzer(
-                    StreamSet(inc.admitted), routing
-                ).determine_feasibility()
-                assert fresh.verdicts == r1.verdicts, f"op {op}"
         # The incremental engine must actually have been incremental.
         assert inc.stats.verdicts_reused > inc.stats.verdicts_recomputed
-        assert full.stats.verdicts_reused == 0
 
     def test_closures_track_full_mode(self, setup):
         mesh, routing = setup
         rng = random.Random(7)
-        inc = IncrementalAdmissionEngine(routing, incremental=True)
-        full = IncrementalAdmissionEngine(routing, incremental=False)
+        inc = IncrementalAdmissionEngine(routing)
+        ref = ReferenceAdmission(routing)
         live = []
         for _ in range(120):
             if live and rng.random() < 0.4:
                 sid = live.pop(rng.randrange(len(live)))
                 inc.release(sid)
-                full.release(sid)
+                ref.release(sid)
             else:
-                sid = inc.fresh_id()
-                full.fresh_id()
-                stream = rand_stream(rng, sid)
+                stream = rand_stream(rng, inc.fresh_id())
                 if inc.try_admit(stream).admitted:
-                    live.append(sid)
-                    full.try_admit(stream)
-                else:
-                    full.try_admit(stream)
-            for sid2 in inc.admitted.ids():
-                assert inc.closure(sid2) == full.closure(sid2)
+                    live.append(stream.stream_id)
+                ref.try_admit(stream)
+            fresh = ref.closures()
+            for sid in inc.admitted.ids():
+                assert inc.closure(sid) == fresh[sid]

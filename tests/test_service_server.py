@@ -80,7 +80,7 @@ class TestServerOps:
         assert resp["ok"] and resp["id"] == 1
         assert resp["nodes"] == 36
         assert resp["topology"] == MESH
-        assert isinstance(resp["incremental"], bool)
+        assert resp["default_analysis"] in resp["analyses"]
 
     def test_admit_assigns_ids_and_closures(self):
         server = BrokerServer(MESH)
