@@ -531,9 +531,10 @@ class FeasibilityAnalyzer:
                 (stream.latency + total_c) / (1.0 - util)
             ) + guard + 1
             est = max(stream.latency, est, 1)
-            # Round up to a power of two: the per-(period, horizon)
-            # window arrays are memoised, and raw estimates would give
-            # every call its own cold cache key.
+            # Round up to a power of two. The evaluated prefix decides
+            # which releases the verdict's removed_instances lists, so
+            # this rounding is part of the verdict's value: changing it
+            # changes the reported sets, though never U.
             h = min(deadline, 1 << (est - 1).bit_length())
         sink = self.timing_sink
         while True:

@@ -44,7 +44,7 @@ matching the paper's in-degree-counted BFS walk.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,11 +52,27 @@ from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
 from .bdg import indirect_processing_order
 from .hpset import HPSet
-from .kernel import window_arrays
 from .streams import MessageStream, StreamSet
-from .timing_diagram import TimingDiagram, generate_init_diagram, refill_rows
+from .timing_diagram import (
+    TimingDiagram,
+    _subtract,
+    generate_init_diagram,
+    refill_rows,
+)
 
 __all__ = ["modify_diagram", "releasable_instances"]
+
+
+def _requested(
+    diagram: TimingDiagram, intermediates: AbstractSet[int]
+) -> List[Tuple[int, int]]:
+    """The intermediates' request runs, sorted (runs of different rows
+    may overlap)."""
+    return sorted(
+        (lo, hi)
+        for r in intermediates
+        for _, lo, hi in diagram.request_runs(diagram.row_of(r))
+    )
 
 
 def releasable_instances(
@@ -67,32 +83,25 @@ def releasable_instances(
     """Return indices of the indirect stream's instances that can be removed.
 
     An instance is releasable when every slot it occupies (ALLOCATED or
-    WAITING) is requested by **no** intermediate stream. Computed
-    straight off the row masks: instance indices are period-window
-    indices, so mapping each occupied slot through the shared
-    slot-to-window array and discarding windows that contain a requested
-    slot yields exactly the instances the per-record check would pass —
-    without materialising any instance records.
+    WAITING) is requested by **no** intermediate stream: none of its
+    request runs overlaps the intermediates' runs. Instance indices are
+    period-window indices, so this is one sorted overlap sweep.
     """
     if not intermediates:
         raise AnalysisError(
             f"indirect stream {indirect_id} has no intermediates"
         )
-    row = diagram.row_of(indirect_id)
-    occ_idx = np.flatnonzero(diagram.row_requests(row))
-    if len(occ_idx) == 0:
-        return ()
-    requested = np.zeros(diagram.dtime + 1, dtype=bool)
-    for r in sorted(intermediates):
-        requested |= diagram.row_requests(diagram.row_of(r))
-    _, win = window_arrays(
-        diagram.row_streams[row].period, diagram.dtime
-    )
-    # The arrays are tiny (a handful of occupied slots): plain set
-    # arithmetic beats numpy's set routines here.
-    w_occ = win[occ_idx]
-    bad = set(w_occ[requested[occ_idx]].tolist())
-    return tuple(sorted(set(w_occ.tolist()) - bad))
+    requested = _requested(diagram, intermediates)
+    windows: Set[int] = set()
+    bad: Set[int] = set()
+    j, nr = 0, len(requested)
+    for w, lo, hi in diagram.request_runs(diagram.row_of(indirect_id)):
+        windows.add(w)
+        while j < nr and requested[j][1] < lo:
+            j += 1
+        if j < nr and requested[j][0] <= hi:
+            bad.add(w)
+    return tuple(sorted(windows - bad))
 
 
 def releasable_slots(
@@ -110,11 +119,14 @@ def releasable_slots(
         raise AnalysisError(
             f"indirect stream {indirect_id} has no intermediates"
         )
-    requested = np.zeros(diagram.dtime + 1, dtype=bool)
-    for r in sorted(intermediates):
-        requested |= diagram.row_requests(diagram.row_of(r))
-    own = diagram.row_requests(diagram.row_of(indirect_id))
-    return np.flatnonzero(own & ~requested)
+    own = [
+        (lo, hi)
+        for _, lo, hi in diagram.request_runs(diagram.row_of(indirect_id))
+    ]
+    free = _subtract(own, _requested(diagram, intermediates))
+    return np.array(
+        [t for lo, hi in free for t in range(lo, hi + 1)], dtype=np.intp
+    )
 
 
 def modify_diagram(

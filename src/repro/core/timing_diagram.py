@@ -23,13 +23,21 @@ the result row) BUSY. ``U_j`` is then the earliest time by which the FREE
 slots of the result row accumulate to the network latency ``L_j``
 (``Cal_U``'s final scan).
 
-This module stores rows as NumPy boolean masks (one ``allocated`` and one
-``waiting`` mask per row) rather than a dense state grid: the construction
-then costs a few vector operations per message instance instead of one
-Python iteration per cell, which matters because the evaluation recomputes
-diagrams for tens of streams over horizons of 10^4..10^5 slots. A dense
-``int8`` grid (for rendering the paper's figures and for tests) is
-materialised on demand by :meth:`TimingDiagram.to_grid`.
+This module stores the diagram as intervals, never as per-slot cells.
+Within one window ``(s, e]`` the cells a row marks ALLOCATED or WAITING
+form a single run ``(s, p]``: ``p`` is the window's ``C``-th free slot,
+or ``e`` when the window runs out of free slots first — every earlier
+slot is either free (so allocated, rank ``<= C``) or busy (so waiting,
+rank ``< C``). A row is therefore one *request* run per unskipped window
+(split where slot-granular ``Modify_Diagram`` erased slots), and the
+busy-from-above state is the sorted list of free *gaps* that row sees.
+Filling a row walks its windows over the gaps above it — O(windows +
+gaps), independent of the horizon's slot count — and leaves the gaps
+minus its requests for the row below. Every row's gap list is kept, so
+:func:`refill_rows` restarts from any row, and ``Cal_U`` walks the final
+gap list. The dense per-slot views (``allocated``, ``waiting``,
+:meth:`TimingDiagram.to_grid`, instance records) are built from the
+intervals on demand, for provenance, rendering and tests.
 
 Hand-validated against the paper: the initial diagram of ``HP_4`` in section
 4.4 yields exactly 7 free slots within the deadline (Fig. 7), and the final
@@ -39,7 +47,7 @@ diagrams reproduce ``U = (7, 8, 26, 20, 33)`` — see ``tests/test_paper_example
 from __future__ import annotations
 
 from collections.abc import Mapping as _MappingABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import (
     AbstractSet,
@@ -49,7 +57,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -57,16 +64,21 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
-from .kernel import fill_masks, window_arrays
 from .streams import MessageStream
 
 __all__ = [
     "CellState",
     "InstanceAllocation",
     "TimingDiagram",
+    "fill_masks",
     "generate_init_diagram",
     "refill_rows",
 ]
+
+#: Ascending, disjoint, inclusive slot runs ``(lo, hi)``.
+Runs = List[Tuple[int, int]]
+
+_NO_SKIP: AbstractSet[int] = frozenset()
 
 
 class CellState(IntEnum):
@@ -78,6 +90,7 @@ class CellState(IntEnum):
     ALLOCATED = 3
 
 
+@dataclass(frozen=True)
 class InstanceAllocation:
     """Slots claimed by one message instance of one stream row.
 
@@ -85,61 +98,71 @@ class InstanceAllocation:
     ``satisfied`` is ``False`` when the window closed before the instance
     collected its full ``C`` slots (demand overflow — the paper inflates the
     period in that case, see :func:`repro.analysis.experiments.inflate_periods`).
-
-    Slot indices are held as NumPy arrays (``alloc_arr`` / ``wait_arr``) so
-    the hot release-check of ``Modify_Diagram`` can test thousands of
-    instances without materialising Python integers; the tuple views exist
-    for tests, rendering and user code.
     """
 
-    __slots__ = ("stream_id", "index", "release", "satisfied",
-                 "alloc_arr", "wait_arr")
-
-    def __init__(self, stream_id: int, index: int, release: int,
-                 satisfied: bool, alloc_arr: np.ndarray,
-                 wait_arr: np.ndarray):
-        self.stream_id = stream_id
-        self.index = index
-        self.release = release
-        self.satisfied = satisfied
-        self.alloc_arr = alloc_arr
-        self.wait_arr = wait_arr
-
-    @property
-    def allocated(self) -> Tuple[int, ...]:
-        """Ascending allocated slot indices, as a tuple."""
-        return tuple(int(t) for t in self.alloc_arr)
-
-    @property
-    def waiting(self) -> Tuple[int, ...]:
-        """Ascending waiting slot indices, as a tuple."""
-        return tuple(int(t) for t in self.wait_arr)
+    stream_id: int
+    index: int
+    release: int
+    allocated: Tuple[int, ...]
+    waiting: Tuple[int, ...]
+    satisfied: bool
 
     def occupied(self) -> Tuple[int, ...]:
         """Return all slots the instance touches (allocated + waiting)."""
-        return tuple(
-            int(t) for t in np.sort(
-                np.concatenate([self.alloc_arr, self.wait_arr])
-            )
-        )
+        return tuple(sorted(self.allocated + self.waiting))
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"InstanceAllocation(stream={self.stream_id}, i={self.index}, "
-            f"release={self.release}, allocated={self.allocated}, "
-            f"satisfied={self.satisfied})"
-        )
+
+def _intersect(xs: Runs, ys: Runs) -> Runs:
+    """Return the runs common to two run lists."""
+    out: Runs = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        lo = max(xs[i][0], ys[j][0])
+        hi = min(xs[i][1], ys[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if xs[i][1] < ys[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _subtract(xs: Runs, ys: Runs) -> Runs:
+    """Return the runs of ``xs`` not covered by ``ys`` (sorted by start,
+    possibly overlapping)."""
+    out: Runs = []
+    j, ny = 0, len(ys)
+    for a, b in xs:
+        while j < ny and ys[j][1] < a:
+            j += 1
+        k = j
+        while k < ny and ys[k][0] <= b:
+            lo, hi = ys[k]
+            if lo > a:
+                out.append((a, lo - 1))
+            if hi >= a:
+                a = hi + 1
+            if a > b:
+                break
+            k += 1
+        if a <= b:
+            out.append((a, b))
+    return out
+
+
+def _slots(runs: Runs) -> Tuple[int, ...]:
+    """Expand runs into their ascending slot indices."""
+    return tuple(t for lo, hi in runs for t in range(lo, hi + 1))
 
 
 class _InstanceView(_MappingABC):
     """Read-only ``stream_id -> [InstanceAllocation]`` view of a diagram.
 
-    The records are derived data — fully determined by the row masks and
-    the per-row skip sets — and only ``Modify_Diagram``'s release check
-    (plus tests and rendering) ever reads them, while ``refill_rows``
-    rewrites masks on every compaction pass. Building them lazily, one
-    stream on first access, makes the common re-fill (no indirect
-    elements, nobody asks) free of per-instance Python objects.
+    The records are derived data — fully determined by the row's request
+    runs, the gaps above it and its skip set — and only tests, rendering
+    and user code read them, while ``refill_rows`` rewrites rows on every
+    compaction pass. They are built lazily, one stream on first access.
     """
 
     __slots__ = ("_diagram",)
@@ -182,20 +205,20 @@ class TimingDiagram:
         if len(self._row_index) != len(self.row_streams):
             raise AnalysisError("duplicate stream ids among diagram rows")
         n = len(self.row_streams)
-        # Index 0 of each mask is unused: slots are 1-based as in the paper.
-        self.allocated = np.zeros((n, dtime + 1), dtype=bool)
-        self.waiting = np.zeros((n, dtime + 1), dtype=bool)
-        #: busy-from-above prefix per row: busy_above[i] = OR of allocations
-        #: of rows 0..i-1. Row n (== result row) is the union of all.
-        self._busy_above: Optional[np.ndarray] = None
+        #: _gaps[r]: the slots FREE for row r (nothing above allocated
+        #: them); _gaps[n] is the result row's free slots.
+        self._gaps: List[Runs] = [[(1, self.dtime)]] * (n + 1)
+        #: Per row: the window index and the run of each request.
+        self._wins: List[List[int]] = [[] for _ in range(n)]
+        self._runs: List[Runs] = [[] for _ in range(n)]
+        #: Per row: skipped window indices, or None while unfilled.
+        self._skip: List[Optional[AbstractSet[int]]] = [None] * n
+        self._dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._records: Dict[int, List[InstanceAllocation]] = {}
         #: Lazily-built per-stream instance records (see _InstanceView).
         self.instances: Mapping[int, List[InstanceAllocation]] = (
             _InstanceView(self)
         )
-        self._records: Dict[int, List[InstanceAllocation]] = {}
-        self._requests: Dict[int, np.ndarray] = {}
-        self._row_skip: Dict[int, Tuple[int, ...]] = {}
-        self._filled: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Row access
@@ -216,11 +239,57 @@ class TimingDiagram:
                 f"stream {self.owner_id}"
             ) from None
 
+    def request_runs(self, row: int) -> List[Tuple[int, int, int]]:
+        """Return the row's requests as ``(window, lo, hi)`` triples.
+
+        A slot is *requested* when the row is ALLOCATED or WAITING there —
+        the condition ``Modify_Diagram`` evaluates on intermediate streams.
+        Runs ascend and never overlap; a window has one run unless erased
+        slots split it.
+        """
+        return [
+            (w, lo, hi)
+            for w, (lo, hi) in zip(self._wins[row], self._runs[row])
+        ]
+
+    def _masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The dense masks behind :attr:`allocated` / :attr:`waiting`.
+        ``Cal_U`` never needs them; tests pin that it never calls this."""
+        if self._dense is None:
+            n = self.num_rows
+            alloc = np.zeros((n, self.dtime + 1), dtype=bool)
+            wait = np.zeros((n, self.dtime + 1), dtype=bool)
+            for row in range(n):
+                runs, gaps = self._runs[row], self._gaps[row]
+                for lo, hi in _intersect(runs, gaps):
+                    alloc[row, lo : hi + 1] = True
+                for lo, hi in _subtract(runs, gaps):
+                    wait[row, lo : hi + 1] = True
+            self._dense = (alloc, wait)
+        return self._dense
+
+    @property
+    def allocated(self) -> np.ndarray:
+        """Dense ``(num_rows, dtime + 1)`` ALLOCATED mask (index 0 unused).
+
+        Built on first access and cached until a row is re-filled;
+        treat it as read-only.
+        """
+        return self._masks()[0]
+
+    @property
+    def waiting(self) -> np.ndarray:
+        """Dense ``(num_rows, dtime + 1)`` WAITING mask (see
+        :attr:`allocated`)."""
+        return self._masks()[1]
+
     def result_busy(self) -> np.ndarray:
         """Return the result row's busy mask (index 0 unused)."""
-        if self.num_rows == 0:
-            return np.zeros(self.dtime + 1, dtype=bool)
-        return self.allocated.any(axis=0)
+        busy = np.ones(self.dtime + 1, dtype=bool)
+        busy[0] = False
+        for lo, hi in self._gaps[-1]:
+            busy[lo : hi + 1] = False
+        return busy
 
     def state(self, row: int, slot: int) -> CellState:
         """Return the :class:`CellState` of one cell.
@@ -232,74 +301,44 @@ class TimingDiagram:
             raise AnalysisError(
                 f"slot {slot} outside diagram range [1, {self.dtime}]"
             )
-        if row == self.num_rows:
-            return (
-                CellState.BUSY if self.result_busy()[slot] else CellState.FREE
-            )
-        if not 0 <= row < self.num_rows:
+        if not 0 <= row <= self.num_rows:
             raise AnalysisError(f"row {row} out of range")
-        if self.allocated[row, slot]:
-            return CellState.ALLOCATED
-        if self.waiting[row, slot]:
-            return CellState.WAITING
-        if self.allocated[:row, slot].any():
-            return CellState.BUSY
-        return CellState.FREE
-
-    def row_requests(self, row: int) -> np.ndarray:
-        """Return the mask of slots the row's stream holds or wants.
-
-        A slot is *requested* when the row is ALLOCATED or WAITING there —
-        the condition ``Modify_Diagram`` evaluates on intermediate streams.
-        Cached per row (invalidated when the row is re-filled); callers
-        must treat the returned mask as read-only.
-        """
-        mask = self._requests.get(row)
-        if mask is None:
-            mask = self.allocated[row] | self.waiting[row]
-            self._requests[row] = mask
-        return mask
+        free = any(lo <= slot <= hi for lo, hi in self._gaps[row])
+        if row < self.num_rows and any(
+            lo <= slot <= hi for lo, hi in self._runs[row]
+        ):
+            return CellState.ALLOCATED if free else CellState.WAITING
+        return CellState.FREE if free else CellState.BUSY
 
     def _records_for(self, stream_id: int) -> List[InstanceAllocation]:
-        """Build (or return cached) instance records for one stream row.
-
-        Splits the row's allocated/waiting slot indices per period window
-        — exactly the records the eager fill used to produce, but only
-        for rows somebody actually reads.
-        """
+        """Build (or return cached) instance records for one stream row:
+        one per unskipped window, its request runs split into the slots
+        free above (allocated) and busy above (waiting)."""
         records = self._records.get(stream_id)
         if records is not None:
             return records
         row = self.row_of(stream_id)
         records = []
-        if row in self._filled:
+        skip = self._skip[row]
+        if skip is not None:
             stream = self.row_streams[row]
-            starts, _ = window_arrays(stream.period, self.dtime)
-            skip = self._row_skip.get(row, ())
-            skip_set = frozenset(skip)
-            alloc_idx = np.flatnonzero(self.allocated[row])
-            wait_idx = np.flatnonzero(self.waiting[row])
-            a_bounds = np.searchsorted(alloc_idx, starts, side="right")
-            w_bounds = np.searchsorted(wait_idx, starts, side="right")
-            n = len(starts)
-            length = stream.length
-            for index in range(n):
-                if index in skip_set:
+            gaps = self._gaps[row]
+            per_window: Dict[int, Runs] = {}
+            for w, run in zip(self._wins[row], self._runs[row]):
+                per_window.setdefault(w, []).append(run)
+            for index in range(-(-self.dtime // stream.period)):
+                if index in skip:
                     continue
-                a_lo = a_bounds[index]
-                a_hi = a_bounds[index + 1] if index + 1 < n else len(alloc_idx)
-                w_lo = w_bounds[index]
-                w_hi = w_bounds[index + 1] if index + 1 < n else len(wait_idx)
-                a = alloc_idx[a_lo:a_hi]
-                w = wait_idx[w_lo:w_hi]
+                runs = per_window.get(index, [])
+                alloc = _slots(_intersect(runs, gaps))
                 records.append(
                     InstanceAllocation(
                         stream_id=stream_id,
                         index=index,
-                        release=int(starts[index]),
-                        satisfied=len(a) == length,
-                        alloc_arr=a,
-                        wait_arr=w,
+                        release=index * stream.period,
+                        allocated=alloc,
+                        waiting=_slots(_subtract(runs, gaps)),
+                        satisfied=len(alloc) == stream.length,
                     )
                 )
         self._records[stream_id] = records
@@ -311,13 +350,11 @@ class TimingDiagram:
 
     def free_slots(self) -> np.ndarray:
         """Return ascending slot indices that are FREE on the result row."""
-        busy = self.result_busy()
-        free = np.flatnonzero(~busy[1:]) + 1
-        return free
+        return np.array(_slots(self._gaps[-1]), dtype=np.intp)
 
     def num_free_slots(self) -> int:
         """Return the count of FREE result-row slots (Fig. 7 reports 7)."""
-        return int(len(self.free_slots()))
+        return sum(hi - lo + 1 for lo, hi in self._gaps[-1])
 
     def upper_bound(self, latency: int) -> int:
         """Return ``U``: the slot by which ``latency`` free slots accumulate.
@@ -327,10 +364,12 @@ class TimingDiagram:
         """
         if latency < 1:
             raise AnalysisError(f"latency must be >= 1, got {latency}")
-        free = self.free_slots()
-        if len(free) < latency:
-            return -1
-        return int(free[latency - 1])
+        need = latency
+        for lo, hi in self._gaps[-1]:
+            if hi - lo + 1 >= need:
+                return lo + need - 1
+            need -= hi - lo + 1
+        return -1
 
     def unsatisfied_instances(self) -> Tuple[InstanceAllocation, ...]:
         """Return instances whose demand did not fit inside their window."""
@@ -352,14 +391,13 @@ class TimingDiagram:
         1-based). Values are :class:`CellState` integers.
         """
         n = self.num_rows
-        grid = np.zeros((n + 1, self.dtime + 1), dtype=np.int8)
-        busy = np.zeros(self.dtime + 1, dtype=bool)
-        for row in range(n):
-            grid[row, busy] = CellState.BUSY
-            grid[row, self.waiting[row]] = CellState.WAITING
-            grid[row, self.allocated[row]] = CellState.ALLOCATED
-            busy |= self.allocated[row]
-        grid[n, busy] = CellState.BUSY
+        grid = np.full((n + 1, self.dtime + 1), CellState.BUSY, np.int8)
+        for row, gaps in enumerate(self._gaps):
+            for lo, hi in gaps:
+                grid[row, lo : hi + 1] = CellState.FREE
+        alloc, wait = self._masks()
+        grid[:n][wait] = CellState.WAITING
+        grid[:n][alloc] = CellState.ALLOCATED
         grid[:, 0] = CellState.FREE
         return grid
 
@@ -433,54 +471,60 @@ def generate_init_diagram(
     return diagram
 
 
-def _fill_row(
-    diagram: TimingDiagram,
-    row: int,
-    busy: np.ndarray,
-    skip: AbstractSet[int],
-    erased: Optional[AbstractSet[int]] = None,
-) -> None:
-    """(Re)compute one row's allocation against the busy-from-above mask.
+# perfbench/spans.py wraps this module attribute as its ``kernel`` layer.
+def fill_masks(
+    gaps: Runs,
+    period: int,
+    length: int,
+    dtime: int,
+    skip: AbstractSet[int] = _NO_SKIP,
+    erased: Sequence[int] = (),
+) -> Tuple[List[int], Runs, Runs]:
+    """Fill one row against the free ``gaps`` above it.
 
-    The mask computation lives in :mod:`repro.core.kernel` (numpy
-    free-rank): instead of scanning each
-    period window cell by cell, rank the FREE slots with a cumulative sum
-    — within a window, the slots whose free-rank (relative to the window
-    start) is in ``[1, C]`` are exactly the first ``C`` free slots the
-    paper's scan would allocate, and a BUSY slot is WAITING exactly when
-    fewer than ``C`` free slots precede it in its window (the scan was
-    still unsatisfied when it passed).
+    Each unskipped window ``(s, e]`` requests the run ``(s, p]``, where
+    ``p`` is its ``C``-th free slot (or ``e`` when it has fewer); the
+    sorted ``erased`` slots are cut out of those runs afterwards, so
+    erased demand does not shift. Returns ``(wins, runs, below)``: the
+    window index of each request run, the runs, and the gaps left free
+    for the row below (``gaps`` minus the runs).
     """
-    stream = diagram.row_streams[row]
-    sid = stream.stream_id
-    period, length = stream.period, stream.length
-    dtime = diagram.dtime
-
-    alloc, wait, starts = fill_masks(busy, period, length, dtime)
+    wins: List[int] = []
+    runs: Runs = []
+    ng = len(gaps)
+    i = w = s = 0
+    # Plain comparisons, not min()/max(): this loop runs once per window.
+    while s < dtime:
+        e = s + period
+        if e > dtime:
+            e = dtime
+        while i < ng and gaps[i][1] <= s:
+            i += 1
+        if w not in skip:
+            need, p = length, e
+            j = i
+            while j < ng:
+                a, b = gaps[j]
+                if a > e:
+                    break
+                if a <= s:
+                    a = s + 1
+                if b > e:
+                    b = e
+                n = b - a + 1
+                if n >= need:
+                    p = a + need - 1
+                    break
+                need -= n
+                j += 1
+            wins.append(w)
+            runs.append((s + 1, p))
+        s = e
+        w += 1
     if erased:
-        # Only slots inside the horizon can be erased; the common case
-        # (no erasures) never reaches here, and an all-out-of-range set
-        # must not pay the fancy-index either.
-        idx = [t for t in erased if 1 <= t <= dtime]
-        if idx:
-            alloc[idx] = False
-            wait[idx] = False
-    skip_sorted = tuple(sorted(skip))
-    for index in skip_sorted:
-        if 0 <= index < len(starts):
-            lo = starts[index] + 1
-            hi = min(starts[index] + period, dtime)
-            alloc[lo : hi + 1] = False
-            wait[lo : hi + 1] = False
-
-    diagram.allocated[row] = alloc
-    diagram.waiting[row] = wait
-    # Records and the requests mask are derived from the masks just
-    # rewritten — drop the stale caches; _records_for rebuilds on demand.
-    diagram._row_skip[row] = skip_sorted
-    diagram._filled.add(row)
-    diagram._records.pop(sid, None)
-    diagram._requests.pop(row, None)
+        runs = _subtract(runs, [(t, t) for t in erased])
+        wins = [(lo - 1) // period for lo, _ in runs]
+    return wins, runs, _subtract(gaps, runs)
 
 
 def refill_rows(
@@ -493,24 +537,28 @@ def refill_rows(
     """Recompute rows ``start_row..`` of a diagram in place.
 
     Rows above ``start_row`` are untouched — their allocations fully
-    determine the busy mask the lower rows see, which is what makes the
+    determine the gaps the lower rows see, which is what makes the
     incremental update of ``Modify_Diagram`` sound: releasing instances of
     the stream at ``start_row`` can only change rows at or below it.
     """
     if not 0 <= start_row <= diagram.num_rows:
         raise AnalysisError(f"start_row {start_row} out of range")
-    if start_row == 0:
-        busy = np.zeros(diagram.dtime + 1, dtype=bool)
-    else:
-        busy = diagram.allocated[:start_row].any(axis=0)
     erased_slots = erased_slots or {}
+    gaps = diagram._gaps[start_row]
+    dtime = diagram.dtime
     for row in range(start_row, diagram.num_rows):
         stream = diagram.row_streams[row]
-        _fill_row(
-            diagram, row, busy,
-            removed.get(stream.stream_id, frozenset()),
-            erased_slots.get(stream.stream_id),
+        sid = stream.stream_id
+        skip = removed.get(sid)
+        skip = frozenset(skip) if skip else _NO_SKIP
+        erased = erased_slots.get(sid)
+        wins, runs, gaps = fill_masks(
+            gaps, stream.period, stream.length, dtime, skip,
+            sorted(erased) if erased else (),
         )
-        # `busy` is a private accumulator here (fresh zeros or a fresh
-        # .any() reduction), so the OR can run in place.
-        np.logical_or(busy, diagram.allocated[row], out=busy)
+        diagram._wins[row] = wins
+        diagram._runs[row] = runs
+        diagram._skip[row] = skip
+        diagram._gaps[row + 1] = gaps
+        diagram._records.pop(sid, None)
+    diagram._dense = None

@@ -513,6 +513,7 @@ class TenantFleet:
                 "nodes": self.topology.num_nodes,
                 "analyses": list(_backends.names()),
                 "default_analysis": self.hosts[0].default_analysis,
+                "residency_margin": self.hosts[0].residency_margin,
                 "shards": len(self.hosts),
                 "tenant": self.name,
             }

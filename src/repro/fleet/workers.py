@@ -242,7 +242,10 @@ class _WorkerServer:
                 "ok": True,
                 "pid": os.getpid(),
                 "shards": {
-                    key: {"default_analysis": host.default_analysis}
+                    key: {
+                        "default_analysis": host.default_analysis,
+                        "residency_margin": host.residency_margin,
+                    }
                     for key, host in self.hosts.items()
                 },
             }
@@ -461,7 +464,8 @@ class WorkerProcess:
         self.restarts = 0
         #: Serialises concurrent ensure() calls racing to respawn.
         self.respawn_lock = threading.Lock()
-        #: shard key -> {default_analysis} from worker_hello.
+        #: shard key -> {default_analysis, residency_margin} from
+        #: worker_hello.
         self.shard_meta: Dict[str, Dict[str, Any]] = {}
 
     @property
@@ -854,6 +858,11 @@ class WorkerShard:
     def default_analysis(self) -> str:
         return str(self.supervisor.shard_meta(self.key)
                    .get("default_analysis", ""))
+
+    @property
+    def residency_margin(self) -> int:
+        return int(self.supervisor.shard_meta(self.key)
+                   .get("residency_margin", 0))
 
     @property
     def next_id(self) -> int:

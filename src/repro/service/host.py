@@ -262,6 +262,10 @@ class EngineHost:
         return self.engine.default_analysis
 
     @property
+    def residency_margin(self) -> int:
+        return self.engine.residency_margin
+
+    @property
     def next_id(self) -> int:
         return self.engine.next_id
 
@@ -407,6 +411,7 @@ class EngineHost:
                 "nodes": self.topology.num_nodes,
                 "analyses": list(_backends.names()),
                 "default_analysis": self.engine.default_analysis,
+                "residency_margin": self.engine.residency_margin,
             }
         if op == "admit":
             return self._op_admit(request)

@@ -4,11 +4,14 @@
 cell by cell, exactly as printed in section 4.3: scan each instance's
 window slot by slot, allocate free slots until the demand is met, mark
 skipped busy slots WAITING, propagate BUSY downwards. It is O(rows x
-dtime) Python and exists purely as a test oracle for the vectorised
+dtime) Python and exists purely as a test oracle for the interval
 production implementation (`repro.core.timing_diagram`), which replaces
-the scan with a cumulative-sum ranking. ``fill_masks_scan`` is the same
-scan for one row against a busy mask, the oracle of
-`repro.core.kernel.fill_masks_numpy`.
+the scan with one request run per window over the free gaps above.
+``fill_masks_scan`` is the same scan for one row against a busy mask,
+the oracle of `repro.core.timing_diagram.fill_masks`; ``scan_diagram``
+and ``modify_scan_reference`` stack it into whole diagrams, with the
+removed windows, erased slots, both ``Modify_Diagram`` granularities and
+the fixpoint sweep (`tests/test_interval_diagram.py`).
 
 The equivalence test (`tests/test_reference_equivalence.py`) drives both
 over hypothesis-generated stream sets and requires bit-identical cell
@@ -48,6 +51,8 @@ __all__ = [
     "fill_masks_scan",
     "generate_init_diagram_reference",
     "modify_diagram_reference",
+    "modify_scan_reference",
+    "scan_diagram",
 ]
 
 
@@ -173,7 +178,7 @@ def fill_masks_scan(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The paper's literal scan for one row: walk each window, claim the
     first ``C`` free slots, mark skipped busy slots WAITING while
-    unsatisfied. Returns ``(alloc, wait)`` like the production kernel."""
+    unsatisfied. Returns dense ``(alloc, wait)`` masks."""
     n = busy.shape[0]
     alloc = np.zeros(n, np.bool_)
     wait = np.zeros(n, np.bool_)
@@ -189,6 +194,99 @@ def fill_masks_scan(
                 alloc[t] = True
                 got += 1
     return alloc, wait
+
+
+def scan_diagram(
+    row_streams: Sequence[MessageStream],
+    dtime: int,
+    removed: Optional[Mapping[int, Set[int]]] = None,
+    erased: Optional[Mapping[int, Set[int]]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Whole diagram as dense ``(rows, dtime + 1)`` ``(alloc, wait)``
+    masks: :func:`fill_masks_scan` row by row against the union of the
+    allocations above, then blank the row's ``removed`` windows and its
+    ``erased`` slots (erased demand does not shift)."""
+    removed = removed or {}
+    erased = erased or {}
+    n = len(row_streams)
+    alloc = np.zeros((n, dtime + 1), np.bool_)
+    wait = np.zeros((n, dtime + 1), np.bool_)
+    busy = np.zeros(dtime + 1, np.bool_)
+    for row, stream in enumerate(row_streams):
+        period = stream.period
+        nwin = (dtime + period - 1) // period
+        a, w = fill_masks_scan(busy.copy(), period, stream.length, nwin)
+        for index in removed.get(stream.stream_id, ()):
+            a[index * period + 1:(index + 1) * period + 1] = False
+            w[index * period + 1:(index + 1) * period + 1] = False
+        for t in erased.get(stream.stream_id, ()):
+            if 1 <= t <= dtime:
+                a[t] = w[t] = False
+        alloc[row], wait[row] = a, w
+        busy |= a
+    return alloc, wait
+
+
+def modify_scan_reference(
+    owner: MessageStream,
+    hp: HPSet,
+    streams: StreamSet,
+    blockers,
+    dtime: int,
+    *,
+    granularity: str = "instance",
+    fixpoint: bool = False,
+    max_passes: int = 16,
+    initial_removed: Optional[Mapping[int, Set[int]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, Set[int]]]:
+    """``Modify_Diagram`` on :func:`scan_diagram` masks, both
+    granularities, with or without the fixpoint sweep.
+
+    Instance granularity releases a window of an indirect element when
+    none of its occupied slots is requested (ALLOCATED or WAITING) by an
+    intermediate; slot granularity erases each such slot. The diagram is
+    rebuilt from scratch after every element that released something.
+    Returns ``(alloc, wait, removed)``.
+    """
+    rows = tuple(sorted(
+        (streams[e.stream_id] for e in hp
+         if e.stream_id != owner.stream_id),
+        key=lambda s: (-s.priority, s.stream_id),
+    ))
+    row_of = {s.stream_id: i for i, s in enumerate(rows)}
+    removed: Dict[int, Set[int]] = {
+        k: set(v) for k, v in (initial_removed or {}).items() if v
+    }
+
+    def build():
+        if granularity == "instance":
+            return scan_diagram(rows, dtime, removed=removed)
+        return scan_diagram(rows, dtime, erased=removed)
+
+    alloc, wait = build()
+    order = indirect_processing_order(hp, blockers, streams)
+    for _ in range(max_passes if fixpoint else 1):
+        changed = False
+        for k in order:
+            occ = alloc[row_of[k]] | wait[row_of[k]]
+            req = np.zeros(dtime + 1, np.bool_)
+            for r in hp[k].intermediates:
+                req |= alloc[row_of[r]] | wait[row_of[r]]
+            if granularity == "instance":
+                period = streams[k].period
+                new = {(t - 1) // period for t in np.flatnonzero(occ)} - {
+                    (t - 1) // period for t in np.flatnonzero(occ & req)
+                }
+            else:
+                new = set(np.flatnonzero(occ & ~req).tolist())
+            fresh = {int(x) for x in new} - removed.get(k, set())
+            if fresh:
+                removed.setdefault(k, set()).update(fresh)
+                alloc, wait = build()
+                changed = True
+        if not changed:
+            break
+    return alloc, wait, removed
 
 
 class ReferenceAdmission:

@@ -1,12 +1,12 @@
 """The admission fast path: every shortcut must be invisible.
 
 Three optimisation layers ride the admission path — shared route tables,
-reach-delta HP maintenance and the adaptive-horizon diagram kernel.
+reach-delta HP maintenance and the adaptive-horizon interval diagram.
 These tests pin the only contract any of them is allowed to have: the
 observed decisions and report specs are byte-identical to from-scratch
 reanalysis (``tests/reference.py``) with or without the HP-delta escape
-hatch, including after a chaos ``cache_storm``, and the fill kernel
-agrees bit for bit with the paper's literal scan.
+hatch, including after a chaos ``cache_storm``, and the interval row
+fill agrees bit for bit with the paper's literal scan.
 """
 
 import hashlib
@@ -18,8 +18,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.feasibility import FeasibilityAnalyzer
-from repro.core.kernel import fill_masks_numpy, window_arrays
 from repro.core.streams import MessageStream
+from repro.core.timing_diagram import fill_masks
 from repro.io import report_to_spec
 from repro.service.engine import IncrementalAdmissionEngine
 from repro.service.host import EngineHost
@@ -31,6 +31,7 @@ from repro.topology.route_table import (
 )
 from repro.topology.routing import XYRouting
 from tests.reference import ReferenceAdmission, fill_masks_scan
+from tests.test_interval_diagram import dense_builds
 from tests.test_properties import XY, stream_sets
 
 MESH_W = MESH_H = 6
@@ -125,27 +126,56 @@ class TestCacheStorm:
         assert engine.stats.forced_invalidations == 3
 
 
+def mask_runs(mask):
+    """Ascending inclusive ``(lo, hi)`` runs of the set cells (index 0
+    ignored)."""
+    runs, t, n = [], 1, len(mask)
+    while t < n:
+        if mask[t]:
+            lo = t
+            while t + 1 < n and mask[t + 1]:
+                t += 1
+            runs.append((lo, t))
+        t += 1
+    return runs
+
+
+def runs_mask(runs, n):
+    mask = np.zeros(n, dtype=bool)
+    for lo, hi in runs:
+        mask[lo:hi + 1] = True
+    return mask
+
+
 class TestKernelParity:
-    def test_scan_and_numpy_agree_on_fuzzed_rows(self):
+    def test_interval_fill_agrees_with_scan_on_fuzzed_rows(self):
         rng = random.Random(0)
         for _ in range(300):
-            dtime = rng.randint(4, 160)
-            period = rng.randint(2, dtime)
-            length = rng.randint(1, 6)
+            dtime = rng.randint(1, 160)
+            period = rng.randint(1, dtime + 3)
+            length = rng.randint(1, min(period, 6))
             busy = np.zeros(dtime + 1, dtype=bool)
             for t in range(1, dtime + 1):
                 busy[t] = rng.random() < rng.choice((0.1, 0.5, 0.9))
-            starts, win = window_arrays(period, dtime)
-            ref = fill_masks_scan(busy.copy(), period, length, len(starts))
-            got = fill_masks_numpy(busy.copy(), period, length, starts, win)
-            # Cached-wstart fast path must be indistinguishable.
-            cached = fill_masks_numpy(
-                busy.copy(), period, length, starts, win, starts[win]
+            nwin = -(-dtime // period)
+            skip = frozenset(w for w in range(nwin) if rng.random() < 0.2)
+            ref_alloc, ref_wait = fill_masks_scan(
+                busy.copy(), period, length, nwin
             )
-            for a, b in zip(ref, got):
-                np.testing.assert_array_equal(a, b)
-            for a, b in zip(got, cached):
-                np.testing.assert_array_equal(a, b)
+            for w in skip:
+                ref_alloc[w * period + 1:(w + 1) * period + 1] = False
+                ref_wait[w * period + 1:(w + 1) * period + 1] = False
+            gaps = mask_runs(~busy)
+            wins, runs, below = fill_masks(
+                gaps, period, length, dtime, skip
+            )
+            requested = runs_mask(runs, dtime + 1)
+            np.testing.assert_array_equal(requested & ~busy, ref_alloc)
+            np.testing.assert_array_equal(requested & busy, ref_wait)
+            assert below == mask_runs(~busy & ~ref_alloc)
+            # One run per unskipped window, tagged with its window.
+            assert wins == [w for w in range(nwin) if w not in skip]
+            assert [(lo - 1) // period for lo, _ in runs] == wins
 
 
 class TestAdaptiveHorizon:
@@ -188,30 +218,49 @@ class TestPhaseTimings:
         assert st["verdict_seconds"] >= st["diagram_seconds"]
 
 
+def replay_dense_churn(host, ops=160):
+    """Admit/release churn on a 10x10 mesh dense enough to recompute 8+
+    verdicts per op."""
+    rng = random.Random(1)
+    live = []
+    for _ in range(ops):
+        if len(live) > 40 or (live and rng.random() < 0.3):
+            sid = live.pop(rng.randrange(len(live)))
+            response = host.handle_request({"op": "release", "ids": [sid]})
+        else:
+            response = host.handle_request({
+                "op": "admit",
+                "streams": [churn_spec(rng, 100)],
+            })
+            if response.get("admitted"):
+                live.extend(response["ids"])
+        assert response["ok"], response
+    assert host.engine.stats.dirty_max >= 8
+
+
 class TestNoProcessPool:
     def test_dense_churn_leaves_no_child_processes(self):
-        """Verdicts are computed in process: a churn trace dense enough
-        to recompute 8+ verdicts per op must not fork a single child."""
+        """Verdicts are computed in process: a dense churn must not fork
+        a single child."""
         before = set(multiprocessing.active_children())
         host = EngineHost({"type": "mesh", "width": 10, "height": 10})
-        rng = random.Random(1)
-        live = []
         try:
-            for _ in range(160):
-                if len(live) > 40 or (live and rng.random() < 0.3):
-                    sid = live.pop(rng.randrange(len(live)))
-                    response = host.handle_request(
-                        {"op": "release", "ids": [sid]})
-                else:
-                    response = host.handle_request({
-                        "op": "admit",
-                        "streams": [churn_spec(rng, 100)],
-                    })
-                    if response.get("admitted"):
-                        live.extend(response["ids"])
-                assert response["ok"], response
-            assert host.engine.stats.dirty_max >= 8
+            replay_dense_churn(host)
         finally:
             host.close()
         spawned = set(multiprocessing.active_children()) - before
         assert not spawned, spawned
+
+
+class TestNoDenseMasks:
+    def test_dense_churn_never_builds_per_slot_masks(self):
+        """Verdicts come from the interval diagram alone: no verdict of a
+        dense churn materialises the per-slot allocated/waiting arrays."""
+        host = EngineHost({"type": "mesh", "width": 10, "height": 10})
+        try:
+            with dense_builds() as calls:
+                replay_dense_churn(host)
+            assert host.engine.stats.verdicts_recomputed > 0
+        finally:
+            host.close()
+        assert not calls

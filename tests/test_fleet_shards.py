@@ -471,6 +471,11 @@ class TestFleet:
         assert hello["server"] == "repro-fleet"
         assert hello["tenant"] == "acme"
         assert hello["shards"] == 2
+        assert hello["residency_margin"] == 0
+
+    def test_hello_reports_residency_margin(self):
+        tf = TenantFleet("t", TOPO, shards=2, residency_margin=1)
+        assert tf.handle_request({"op": "hello"})["residency_margin"] == 1
 
     def test_fingerprint_spec_shape_matches_host(self):
         """The tenant fingerprint is byte-compatible with EngineHost's —

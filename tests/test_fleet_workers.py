@@ -70,6 +70,14 @@ class TestSupervisorRestart:
         finally:
             fleet.close()
 
+    def test_hello_reports_worker_residency_margin(self, tmp_path):
+        fleet = make_fleet(tmp_path)
+        try:
+            hello = fleet.handle_request("t", {"op": "hello"})
+            assert hello["ok"] and hello["residency_margin"] == 0
+        finally:
+            fleet.close()
+
     def test_ensure_all_is_a_noop_when_healthy(self, tmp_path):
         fleet = make_fleet(tmp_path)
         try:

@@ -1,11 +1,12 @@
-"""Equivalence of the vectorised timing-diagram against the paper's
+"""Equivalence of the interval timing diagram against the paper's
 literal pseudocode (tests/reference.py), over hypothesis-generated inputs.
 
 This is the strongest internal check of the reproduction's core data
 structure: two independently written implementations — one transcribed
-cell by cell from the paper's ``Generate_Init_Diagram``, one vectorised
-with cumulative-sum ranking — must produce bit-identical grids for every
-stream set, horizon, and removed-instance set.
+cell by cell from the paper's ``Generate_Init_Diagram``, one built from
+one request run per window over the free gaps above — must produce
+bit-identical grids for every stream set, horizon, and removed-instance
+set.
 """
 
 import numpy as np

@@ -81,6 +81,12 @@ class TestServerOps:
         assert resp["nodes"] == 36
         assert resp["topology"] == MESH
         assert resp["default_analysis"] in resp["analyses"]
+        assert resp["residency_margin"] == 0
+
+    def test_hello_reports_residency_margin(self):
+        server = BrokerServer(MESH, residency_margin=1)
+        resp = server.handle_request({"op": "hello", "id": 1})
+        assert resp["residency_margin"] == 1
 
     def test_admit_assigns_ids_and_closures(self):
         server = BrokerServer(MESH)
