@@ -44,9 +44,16 @@ matching the paper's in-degree-counted BFS walk.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
@@ -59,6 +66,9 @@ from .timing_diagram import (
     generate_init_diagram,
     refill_rows,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["modify_diagram", "releasable_instances"]
 
@@ -124,6 +134,8 @@ def releasable_slots(
         for _, lo, hi in diagram.request_runs(diagram.row_of(indirect_id))
     ]
     free = _subtract(own, _requested(diagram, intermediates))
+    import numpy as np
+
     return np.array(
         [t for lo, hi in free for t in range(lo, hi + 1)], dtype=np.intp
     )

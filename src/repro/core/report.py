@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import AnalysisError
 from .feasibility import FeasibilityAnalyzer
 from .hpset import BlockingMode

@@ -50,6 +50,7 @@ from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Dict,
     Iterator,
@@ -60,11 +61,12 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from ..errors import AnalysisError
 from ..obs.trace import active as _trace_active
 from .streams import MessageStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CellState",
@@ -256,6 +258,8 @@ class TimingDiagram:
         """The dense masks behind :attr:`allocated` / :attr:`waiting`.
         ``Cal_U`` never needs them; tests pin that it never calls this."""
         if self._dense is None:
+            import numpy as np
+
             n = self.num_rows
             alloc = np.zeros((n, self.dtime + 1), dtype=bool)
             wait = np.zeros((n, self.dtime + 1), dtype=bool)
@@ -285,6 +289,8 @@ class TimingDiagram:
 
     def result_busy(self) -> np.ndarray:
         """Return the result row's busy mask (index 0 unused)."""
+        import numpy as np
+
         busy = np.ones(self.dtime + 1, dtype=bool)
         busy[0] = False
         for lo, hi in self._gaps[-1]:
@@ -350,6 +356,8 @@ class TimingDiagram:
 
     def free_slots(self) -> np.ndarray:
         """Return ascending slot indices that are FREE on the result row."""
+        import numpy as np
+
         return np.array(_slots(self._gaps[-1]), dtype=np.intp)
 
     def num_free_slots(self) -> int:
@@ -390,6 +398,8 @@ class TimingDiagram:
         Row ``num_rows`` is the result row; column 0 is unused (slots are
         1-based). Values are :class:`CellState` integers.
         """
+        import numpy as np
+
         n = self.num_rows
         grid = np.full((n + 1, self.dtime + 1), CellState.BUSY, np.int8)
         for row, gaps in enumerate(self._gaps):

@@ -385,18 +385,12 @@ class GatewayServer:
                 f"{t}/{s}": sb.ops_applied
                 for (t, s), sb in sorted(self.standbys.standbys.items())
             }
-        if self.fleet.supervisor is not None:
-            workers = []
-            for wp in self.fleet.supervisor.workers:
-                workers.append({
-                    "index": wp.index,
-                    "pid": wp.pid,
-                    "alive": wp.alive,
-                    "restarts": wp.restarts,
-                    "shards": sorted(wp.assigned),
-                    "journal_lag_bytes": self._worker_journal_lag(wp),
-                })
-                healthy = healthy and wp.alive
+        supervisor = self.fleet.supervisor
+        if supervisor is not None:
+            workers = supervisor.status()
+            for wp, row in zip(supervisor.workers, workers):
+                row["journal_lag_bytes"] = self._worker_journal_lag(wp)
+                healthy = healthy and row["alive"]
             out["workers"] = workers
             out["ok"] = healthy
         return (200 if healthy else 503), out
@@ -462,6 +456,13 @@ class GatewayServer:
                     "Supervised restarts of the worker process.",
                     worker=worker,
                 ).value = float(wp.restarts)
+                if wp.spawn_seconds is not None:
+                    reg.gauge(
+                        "repro_fleet_worker_spawn_seconds",
+                        "Seconds the worker's last (re)spawn took, from "
+                        "launch to ready.",
+                        worker=worker,
+                    ).value = wp.spawn_seconds
                 reg.gauge(
                     "repro_fleet_worker_journal_lag_bytes",
                     "Journal bytes not yet shipped to warm standbys, "

@@ -729,15 +729,18 @@ class TenantFleet:
         # All-or-nothing across shards: on a mid-sequence journal
         # failure, compensate the shards that already committed by
         # re-admitting the captured specs, so the client's error means
-        # "nothing was released" on every shard.
+        # "nothing was released" on every shard. Only shards in ``done``
+        # are ever compensated, so the last shard skips its dump.
         done: List[Tuple[int, Dict[str, List[dict]]]] = []
-        for shard in sorted(groups):
+        order = sorted(groups)
+        for shard in order:
             host = self.hosts[shard]
             saved: Dict[str, List[dict]] = {}
-            for entry in host.shard_dump(groups[shard])["streams"]:
-                saved.setdefault(
-                    entry["analysis"], []
-                ).append(entry["stream"])
+            if shard != order[-1]:
+                for entry in host.shard_dump(groups[shard])["streams"]:
+                    saved.setdefault(
+                        entry["analysis"], []
+                    ).append(entry["stream"])
             sub: Dict[str, Any] = {"op": "release", "ids": groups[shard]}
             if rid is not None:
                 sub["rid"] = rid

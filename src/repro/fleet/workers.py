@@ -375,7 +375,12 @@ class WorkerClient:
     def _connect_locked(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(RPC_TIMEOUT)
-        sock.connect(self.path)
+        try:
+            sock.connect(self.path)
+        except OSError:
+            # Refused while a spawning child has not bound yet.
+            sock.close()
+            raise
         self._sock = sock
         self._rfile = sock.makefile("rb")
 
@@ -462,6 +467,10 @@ class WorkerProcess:
         self.client = WorkerClient(socket_path)
         self.proc: Optional[subprocess.Popen] = None
         self.restarts = 0
+        #: Seconds from launch to worker_hello of the last (re)spawn.
+        self.spawn_seconds: Optional[float] = None
+        self._launched_at = 0.0
+        self._ready = False
         #: Serialises concurrent ensure() calls racing to respawn.
         self.respawn_lock = threading.Lock()
         #: shard key -> {default_analysis, residency_margin} from
@@ -505,6 +514,11 @@ class WorkerProcess:
 
     def spawn(self) -> None:
         """Start the child and block until it has recovered and bound."""
+        self.launch()
+        self.wait_ready()
+
+    def launch(self) -> None:
+        """Start the child without waiting for it (see :meth:`wait_ready`)."""
         self.config_path.write_text(json.dumps(
             {"socket": str(self.socket_path), "hosts": self.assigned},
             indent=2, sort_keys=True,
@@ -517,6 +531,8 @@ class WorkerProcess:
                               env.get("PYTHONPATH", "").split(os.pathsep)
                               if p and p != pkg_root]
         env["PYTHONPATH"] = os.pathsep.join(parts)
+        self._ready = False
+        self._launched_at = time.monotonic()
         with open(self.log_path, "ab") as log:
             self.proc = subprocess.Popen(
                 [sys.executable, "-m", "repro.fleet.workers",
@@ -526,7 +542,11 @@ class WorkerProcess:
                 stderr=subprocess.STDOUT,
                 env=env,
             )
-        deadline = time.monotonic() + SPAWN_TIMEOUT
+
+    def wait_ready(self) -> None:
+        """Block until the launched child has recovered and bound."""
+        assert self.proc is not None, "wait_ready() before launch()"
+        deadline = self._launched_at + SPAWN_TIMEOUT
         while True:
             if self.proc.poll() is not None:
                 raise ReproError(
@@ -548,6 +568,8 @@ class WorkerProcess:
                     ) from None
                 time.sleep(0.02)
         self.shard_meta = dict(hello.get("shards", {}))
+        self.spawn_seconds = time.monotonic() - self._launched_at
+        self._ready = True
 
     def kill(self, sig: int = signal.SIGKILL) -> None:
         """Hard-kill the child (chaos fault) and reap it."""
@@ -568,6 +590,10 @@ class WorkerProcess:
         """Graceful shutdown: worker_shutdown op, then escalate."""
         if self.proc is None:
             return
+        if self.proc.poll() is None and not self._ready:
+            # Still recovering (a failed fleet start): it cannot take
+            # the shutdown op yet, so do not wait for it to bind.
+            self.proc.terminate()
         if self.proc.poll() is None:
             try:
                 self.client.call({"op": "worker_shutdown"})
@@ -654,8 +680,12 @@ class WorkerSupervisor:
     def start(self) -> None:
         self._started = True
         try:
+            # Launch every child before waiting on any: their imports
+            # and journal recoveries overlap instead of queueing.
             for wp in self.workers:
-                wp.spawn()
+                wp.launch()
+            for wp in self.workers:
+                wp.wait_ready()
         except ReproError:
             self.stop()
             raise
@@ -762,6 +792,7 @@ class WorkerSupervisor:
                 "pid": wp.pid,
                 "alive": wp.alive,
                 "restarts": wp.restarts,
+                "spawn_seconds": wp.spawn_seconds,
                 "shards": sorted(wp.assigned),
             }
             for wp in self.workers

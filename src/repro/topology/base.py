@@ -24,11 +24,12 @@ adjacent to what*.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Tuple
 
 from ..errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Channel", "Topology"]
 
@@ -120,6 +121,8 @@ class Topology(ABC):
         Nodes carry a ``coords`` attribute; the graph is a snapshot — mutating
         it does not affect the topology.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         for n in self.nodes():
             g.add_node(n, coords=self.coords(n))

@@ -20,7 +20,7 @@ from repro.fleet.client import GatewayClient
 from repro.fleet.gateway import GatewayServer
 from repro.fleet.replication import StandbyPool
 from repro.fleet.shards import Fleet, TenantSpec
-from repro.fleet.workers import WorkerSupervisor
+from repro.fleet.workers import WorkerProcess, WorkerSupervisor
 
 TOPO = {"type": "mesh", "width": 4, "height": 4}
 
@@ -58,12 +58,14 @@ class TestSupervisorRestart:
         try:
             sup = fleet.supervisor
             admit_ok(fleet, "r0")
+            sup.workers[0].spawn_seconds = None
             pid = sup.kill_worker(0)
             assert pid > 0
             assert not sup.workers[0].alive
             assert sup.ensure_all() == 1
             assert sup.workers[0].restarts == 1
             assert sup.workers[0].alive
+            assert sup.workers[0].spawn_seconds > 0  # the respawn's
             # The respawned child recovered the admit from the journal.
             report = fleet.handle_request("t", {"op": "report"})
             assert report["ok"] and report["admitted"] == 1
@@ -131,7 +133,87 @@ class TestSupervisorRestart:
             assert row["alive"] is True
             assert row["restarts"] == 0
             assert isinstance(row["pid"], int)
+            assert row["spawn_seconds"] > 0
             assert sorted(row["shards"]) == ["t/shard-0", "t/shard-1"]
+        finally:
+            fleet.close()
+
+
+def two_tenant_supervisor(tmp_path, *, bad_tenant=None):
+    """A two-worker supervisor with one tenant per worker; the tenant
+    named ``bad_tenant`` gets a topology its worker cannot load."""
+    sup = WorkerSupervisor(tmp_path, 2)
+    for tenant in ("a", "b"):
+        topology = {"type": "nonsense"} if tenant == bad_tenant else TOPO
+        sup.assign_tenant(tenant, {
+            f"{tenant}/shard-0": {
+                "topology": topology,
+                "state_dir": str(tmp_path / tenant / "shard-0"),
+            },
+        })
+    return sup
+
+
+class TestParallelStart:
+    def test_start_launches_every_child_before_waiting(
+        self, tmp_path, monkeypatch
+    ):
+        sup = two_tenant_supervisor(tmp_path)
+        launched_at_wait = []
+        wait_ready = WorkerProcess.wait_ready
+
+        def recording_wait(wp):
+            launched_at_wait.append(
+                [w.proc is not None for w in sup.workers]
+            )
+            wait_ready(wp)
+
+        monkeypatch.setattr(WorkerProcess, "wait_ready", recording_wait)
+        try:
+            sup.start()
+            assert launched_at_wait == [[True, True], [True, True]]
+            assert all(wp.alive for wp in sup.workers)
+            assert all(wp.spawn_seconds > 0 for wp in sup.workers)
+        finally:
+            sup.stop()
+
+    @pytest.mark.parametrize("bad_tenant", ["a", "b"])
+    def test_failed_start_raises_and_leaves_no_child(
+        self, tmp_path, bad_tenant
+    ):
+        sup = two_tenant_supervisor(tmp_path, bad_tenant=bad_tenant)
+        try:
+            with pytest.raises(ReproError, match="during startup"):
+                sup.start()
+            assert all(wp.proc is not None for wp in sup.workers)
+            assert all(wp.proc.poll() is not None for wp in sup.workers)
+        finally:
+            sup.stop()
+
+
+class TestReleaseRpcs:
+    def test_single_shard_release_is_one_worker_rpc(
+        self, tmp_path, monkeypatch
+    ):
+        """Only earlier shards of a release can need compensation, so a
+        single-shard release skips the spec dump entirely."""
+        fleet = make_fleet(tmp_path)
+        try:
+            ids = admit_ok(fleet, "r0")["ids"]
+            sup = fleet.supervisor
+            ops = []
+            call = sup.call
+
+            def counting_call(key, request):
+                ops.append(request["op"])
+                return call(key, request)
+
+            monkeypatch.setattr(sup, "call", counting_call)
+            response = fleet.handle_request(
+                "t", {"op": "release", "ids": ids}
+            )
+            assert response["ok"], response
+            assert ops == ["release"]
         finally:
             fleet.close()
 
@@ -241,6 +323,7 @@ class TestGatewayWorkers:
         for w in workers:
             assert w["alive"] is True
             assert w["restarts"] == 0
+            assert w["spawn_seconds"] > 0
             assert isinstance(w["pid"], int)
             assert w["journal_lag_bytes"] == 0  # no standbys -> no lag
         assert workers[0]["shards"] == ["t/shard-0", "t/shard-1"]
@@ -255,6 +338,7 @@ class TestGatewayWorkers:
         text = run_gateway(client, tmp_path)["text"]
         for name in ("repro_fleet_worker_up", "repro_fleet_worker_pid",
                      "repro_fleet_worker_restarts_total",
+                     "repro_fleet_worker_spawn_seconds",
                      "repro_fleet_worker_journal_lag_bytes"):
             assert f'{name}{{worker="0"}}' in text, name
         assert 'repro_fleet_worker_up{worker="1"} 1' in text
